@@ -64,7 +64,7 @@ def _load_tree(path: str) -> Tree:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}\n" and 2) from None
+        raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
     return parse_tree_text(text)
 
 

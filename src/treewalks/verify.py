@@ -23,7 +23,15 @@ from .generate import (
 )
 from .transforms import bare_paths, dc_transform, kc_transform, valency
 from .trees import Tree, canonical_code, distance, distances_from, tree_path
-from .walks import count_closed_walks, count_ell_paths, count_walks, enumerate_walks, wiener
+from .walks import (
+    closed_walk_profile,
+    count_closed_walks,
+    count_ell_paths,
+    count_walks,
+    enumerate_walks,
+    walk_profile,
+    wiener,
+)
 from .words import (
     HOST_T,
     HOST_T2,
@@ -130,12 +138,11 @@ def verify_closed_extremal(max_n: int, max_len: int, workers: int = 1) -> Verifi
     report = VerificationReport(scope={"max_n": max_n, "max_len": max_len})
     for n in range(1, max_n + 1):
         trees = enumerate_free_trees(n)
-        values = {}
         star_code = canonical_code(star_tree(n))
         path_code = canonical_code(path_tree(n))
+        profiles = {canonical_code(t): closed_walk_profile(t, max_len) for t in trees}
         for ell in range(2, max_len + 1, 2):
-            for t in trees:
-                values[canonical_code(t)] = count_closed_walks(t, ell)
+            values = {code: prof[ell] for code, prof in profiles.items()}
             vmax = max(values.values())
             vmin = min(values.values())
             argmax = sorted(c for c, v in values.items() if v == vmax)
@@ -160,13 +167,13 @@ def verify_closed_extremal(max_n: int, max_len: int, workers: int = 1) -> Verifi
 
 def _kc_monotone_rows(args) -> list:
     t, index, max_len, kind = args
-    counter = count_closed_walks if kind == "closed" else count_walks
-    cache: dict[str, tuple] = {}
+    profile = closed_walk_profile if kind == "closed" else walk_profile
+    cache: dict[str, list] = {}
 
-    def vector(tr: Tree) -> tuple:
+    def vector(tr: Tree) -> list:
         code = canonical_code(tr)
         if code not in cache:
-            cache[code] = tuple(counter(tr, ell) for ell in range(1, max_len + 1))
+            cache[code] = profile(tr, max_len)[1:]
         return cache[code]
 
     rows = []
@@ -585,12 +592,22 @@ class BroomProfile:
     p_opt: float
 
 
+def _stationary_sign(r: Fraction, m) -> int:
+    """Sign of (1/4 + sqrt(r)) - m, decided exactly (r >= 0)."""
+    d = m - Fraction(1, 4)
+    if d < 0:
+        return 1
+    return (r > d * d) - (r < d * d)
+
+
 def broom_profile(n: int, ell: int) -> BroomProfile:
     """Exact path counts of every feasible balanced p-broom, the optimal p,
     and the real-valued stationary point 1/4 + sqrt(1/16 + (n-1)/(ell-2)).
 
-    The integer argmax always lies within 1 of the stationary point; that
-    is asserted here."""
+    Among the maximizing p, the one closest to the stationary point wins
+    (the smaller on a tie).  The integer argmax always lies within 1 of the
+    stationary point; a drift raises ValueError.  Both decisions compare
+    squared rationals exactly; the float ``p_opt`` is for display only."""
     if ell < 4 or ell % 2 != 0:
         raise ValueError("broom profile needs even ell >= 4")
     half = (ell - 2) // 2
@@ -602,12 +619,16 @@ def broom_profile(n: int, ell: int) -> BroomProfile:
     if not rows:
         raise ValueError(f"no feasible leg count for n={n}, ell={ell}")
     best = max(v for _, v in rows)
+    r = Fraction(1, 16) + Fraction(n - 1, ell - 2)
     p_opt = 0.25 + sqrt(1.0 / 16.0 + (n - 1) / (ell - 2))
-    argmax_p = min(
-        (p for p, v in rows if v == best), key=lambda p: abs(p - p_opt)
-    )
-    if abs(argmax_p - p_opt) > 1:
-        raise AssertionError(
+    argmax_p = None
+    for p, v in rows:
+        # p beats a smaller argmax_p iff the stationary point lies past
+        # their midpoint
+        if v == best and (argmax_p is None or _stationary_sign(r, Fraction(argmax_p + p, 2)) > 0):
+            argmax_p = p
+    if _stationary_sign(r, argmax_p - 1) < 0 or _stationary_sign(r, argmax_p + 1) > 0:
+        raise ValueError(
             f"argmax {argmax_p} drifted from stationary point {p_opt}"
         )
     return BroomProfile(

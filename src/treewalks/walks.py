@@ -1,6 +1,20 @@
 """Exact counting of walks, closed walks, fixed-length paths, and the
 distance sum, plus a brute-force enumeration oracle.
 
+Each counted quantity has one kernel that returns its whole per-length
+vector over lengths 0..max_len; the ``count_*`` functions read one entry.
+
+- ``closed_walk_profile``: trace(A^l).  For a forest the characteristic
+  polynomial equals the matching polynomial (Godsil and Gutman, "On the
+  theory of the matching polynomial", J. Graph Theory 5, 1981), so its
+  elementary symmetric functions are e_{2k} = (-1)^k m_k and e_odd = 0,
+  where m_k counts k-edge matchings.  A rooted DP computes m_0..m_{L/2},
+  and Newton's identities turn them into every power sum p_l = trace(A^l),
+  l <= L.  Odd entries are 0 because trees are bipartite.
+- ``walk_profile``: 1^T A^l 1 by iterated exact vector multiply.
+- ``path_profile``: pairs at each distance, by merging depth histograms of
+  the children at every vertex (the pair's top vertex).
+
 All counts are directed walks (a walk and its reverse are distinct) and use
 arbitrary-precision integers; there is no floating point anywhere here.
 """
@@ -9,14 +23,17 @@ from __future__ import annotations
 
 from collections import deque
 
-from .trees import Tree, distances_from
+from .trees import Tree
 
 __all__ = [
     "Walk",
+    "closed_walk_profile",
     "count_closed_walks",
     "count_ell_paths",
     "count_walks",
     "enumerate_walks",
+    "path_profile",
+    "walk_profile",
     "wiener",
 ]
 
@@ -30,65 +47,166 @@ def _require_positive_length(length: int) -> None:
         raise ValueError(f"walk length must be >= 1, got {length}")
 
 
-def count_walks(t: Tree, length: int) -> int:
-    """Number of directed walks of `length` steps: the sum of all entries of
-    the length-th adjacency power, by iterated exact vector multiply."""
-    _require_positive_length(length)
+def _require_profile_length(max_len: int) -> None:
+    if max_len < 0:
+        raise ValueError(f"profile length must be >= 0, got {max_len}")
+
+
+def _bfs_order(t: Tree) -> tuple[list[int], list[int]]:
+    """Vertices in BFS order from 0, and each vertex's parent (the root is
+    its own parent), so reversed order visits children before parents."""
+    adj = t.adjacency
+    parent = [-1] * t.n
+    parent[0] = 0
+    order = [0]
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+                queue.append(y)
+    return order, parent
+
+
+def _poly_mul(a: list[int], b: list[int], cap: int) -> list[int]:
+    """Product of coefficient lists, truncated to degree <= cap."""
+    if not a or not b:
+        return []
+    out = [0] * min(len(a) + len(b) - 1, cap + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: cap + 1 - i], i):
+            out[j] += x * y
+    return out
+
+
+def _poly_add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def _matching_counts(t: Tree, cap: int) -> list[int]:
+    """m_0..m_cap, where m_k is the number of k-edge matchings.
+
+    Bottom-up over a BFS order, each vertex keeps two truncated generating
+    polynomials of its subtree's matchings: ``free`` (the vertex unmatched)
+    and ``every``.  Children fold in one at a time: ``free`` is the running
+    product of the children's ``every``, and ``hit`` (the vertex matched to
+    a child folded so far) gains x * free_so_far * child_free."""
+    order, parent = _bfs_order(t)
+    adj = t.adjacency
+    free: list = [None] * t.n
+    every: list = [None] * t.n
+    for v in reversed(order):
+        f = [1]
+        hit: list[int] = []
+        for c in adj[v]:
+            if c == parent[v]:
+                continue
+            fc, gc = free[c], every[c]
+            free[c] = every[c] = None
+            if len(gc) == 1:  # fc == gc == [1]: a leaf child (or cap 0)
+                hit = _poly_add(hit, [0] + f[:cap])
+                continue
+            hit = _poly_add(_poly_mul(hit, gc, cap), [0] + _poly_mul(f, fc, cap - 1))
+            f = _poly_mul(f, gc, cap)
+        free[v] = f
+        every[v] = _poly_add(f, hit)
+    counts = every[order[0]]
+    return counts + [0] * (cap + 1 - len(counts))
+
+
+def closed_walk_profile(t: Tree, max_len: int) -> list[int]:
+    """Closed-walk counts trace(A^l) for l = 0..max_len.
+
+    With s_k = (-1)^k m_k the signed matching counts, Newton's identities
+    for the even power sums read
+    p_{2j} = -(2j s_j + sum_{i=1}^{j-1} s_i p_{2j-2i}); odd entries are 0.
+    """
+    _require_profile_length(max_len)
+    half = max_len // 2
+    signed = [c if k % 2 == 0 else -c for k, c in enumerate(_matching_counts(t, half))]
+    out = [0] * (max_len + 1)
+    out[0] = t.n
+    for j in range(1, half + 1):
+        acc = 2 * j * signed[j]
+        for i in range(1, j):
+            acc += signed[i] * out[2 * (j - i)]
+        out[2 * j] = -acc
+    return out
+
+
+def walk_profile(t: Tree, max_len: int) -> list[int]:
+    """Walk counts 1^T A^l 1 for l = 0..max_len, by iterated exact vector
+    multiply."""
+    _require_profile_length(max_len)
     adj = t.adjacency
     vec = [1] * t.n
-    for _ in range(length):
-        vec = [sum(vec[u] for u in adj[v]) for v in range(t.n)]
-    return sum(vec)
+    out = [t.n]
+    for _ in range(max_len):
+        vec = [sum([vec[u] for u in nbrs]) for nbrs in adj]
+        out.append(sum(vec))
+    return out
 
 
-def _step_vector(adj, vec: dict[int, int]) -> dict[int, int]:
-    nxt: dict[int, int] = {}
-    for v, c in vec.items():
-        for u in adj[v]:
-            nxt[u] = nxt.get(u, 0) + c
-    return nxt
+def path_profile(t: Tree, max_len: int) -> list[int]:
+    """Path counts for l = 0..max_len: the number of vertex pairs at
+    distance l (each vertex is the one path of length 0).
+
+    Every pair has one top vertex, nearest the root, on its path.  Bottom-up,
+    each vertex merges its children's depth histograms (truncated at
+    max_len) and counts the pairs that straddle two of its branches or end
+    at itself."""
+    _require_profile_length(max_len)
+    order, parent = _bfs_order(t)
+    adj = t.adjacency
+    out = [0] * (max_len + 1)
+    out[0] = t.n
+    depth: list = [None] * t.n
+    for v in reversed(order):
+        acc = [1]  # acc[d]: folded vertices at depth d below v
+        for c in adj[v]:
+            if c == parent[v]:
+                continue
+            below = depth[c]  # below[j]: vertices at depth j + 1 below v
+            depth[c] = None
+            for i, a in enumerate(acc[:max_len]):
+                for d, b in enumerate(below[: max_len - i], i + 1):
+                    out[d] += a * b
+            if len(acc) <= len(below):
+                acc.extend([0] * (len(below) + 1 - len(acc)))
+            for j, b in enumerate(below, 1):
+                acc[j] += b
+        depth[v] = acc[:max_len]
+    return out
 
 
-def _source_classes(t: Tree) -> list[tuple[int, int]]:
-    """(representative, multiplicity) pairs: leaves hanging on a common
-    neighbor are interchangeable, so one of them stands for the class."""
-    classes: list[tuple[int, int]] = []
-    leaf_groups: dict[int, list[int]] = {}
-    for v in range(t.n):
-        nbrs = t.adjacency[v]
-        if len(nbrs) == 1 and t.n > 1:
-            leaf_groups.setdefault(nbrs[0], []).append(v)
-        else:
-            classes.append((v, 1))
-    for group in leaf_groups.values():
-        classes.append((min(group), len(group)))
-    return classes
+def count_walks(t: Tree, length: int) -> int:
+    """Number of directed walks of `length` steps: the sum of all entries of
+    the length-th adjacency power."""
+    _require_positive_length(length)
+    return walk_profile(t, length)[length]
 
 
 def count_closed_walks(t: Tree, length: int) -> int:
     """Number of directed closed walks of `length` steps: the trace of the
-    length-th adjacency power.
-
-    Even lengths use the half-power identity trace(A^(2m)) = sum over
-    sources of the squared entries of A^m applied to the source indicator.
-    """
+    length-th adjacency power.  Trees are bipartite, so odd lengths give 0
+    at once."""
     _require_positive_length(length)
-    adj = t.adjacency
-    total = 0
-    if length % 2 == 0:
-        half = length // 2
-        for source, mult in _source_classes(t):
-            vec = {source: 1}
-            for _ in range(half):
-                vec = _step_vector(adj, vec)
-            total += mult * sum(c * c for c in vec.values())
-    else:
-        for source, mult in _source_classes(t):
-            vec = {source: 1}
-            for _ in range(length):
-                vec = _step_vector(adj, vec)
-            total += mult * vec.get(source, 0)
-    return total
+    return 0 if length % 2 else closed_walk_profile(t, length)[length]
+
+
+def count_ell_paths(t: Tree, length: int) -> int:
+    """Number of paths with exactly `length` edges.  In a tree every vertex
+    pair determines one path, so this is the number of unordered pairs at
+    distance `length`."""
+    _require_positive_length(length)
+    return path_profile(t, length)[length]
 
 
 def enumerate_walks(
@@ -119,36 +237,11 @@ def enumerate_walks(
     return out
 
 
-def count_ell_paths(t: Tree, length: int) -> int:
-    """Number of paths with exactly `length` edges.  In a tree every vertex
-    pair determines one path, so this is the number of unordered pairs at
-    distance `length`."""
-    _require_positive_length(length)
-    total = 0
-    for v in range(t.n):
-        total += sum(1 for d in distances_from(t, v) if d == length)
-    assert total % 2 == 0
-    return total // 2
-
-
 def wiener(t: Tree) -> int:
     """Sum of distances over unordered vertex pairs, via the edge-split
     identity: each edge contributes (size of one side) * (size of the other).
     """
-    if t.n == 1:
-        return 0
-    adj = t.adjacency
-    parent = [-1] * t.n
-    order = [0]
-    parent[0] = 0
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                order.append(y)
-                queue.append(y)
+    order, parent = _bfs_order(t)
     size = [1] * t.n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]

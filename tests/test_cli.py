@@ -1,0 +1,140 @@
+"""CLI tests: golden stdout digests on fixed scopes (recorded before the
+per-length walk kernels replaced the per-call counters, so they pin that
+refactor as byte-identical), exit codes, and error text."""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import treewalks
+from treewalks.cli import main
+from treewalks.trees import parse_tree_text
+from treewalks.walks import wiener
+
+FIXED_TREE = "14\n0 1\n1 2\n2 3\n3 4\n1 5\n1 6\n2 7\n7 8\n7 9\n9 10\n4 11\n4 12\n12 13\n"
+
+GOLDEN = [
+    (
+        ["verify", "closed-extremal", "--max-n", "8", "--max-len", "8"],
+        "14761c5920b1859c00990e0b5631a7fec622514653b28982e43f4129aacbca38",
+    ),
+    (
+        ["verify", "kc-monotone", "--max-n", "7", "--max-len", "6", "--kind", "both"],
+        "0a28786dbc0ee377fa6f6e45c398feac14db63e67f5bfe13e01dd76f6cdd9f97",
+    ),
+    (
+        ["verify", "path-extremal", "--max-n", "10", "--len", "5"],
+        "b6656a297c9b25ed4d5bf13673883d9c8f8680e23debcc6d0b8c4d2d3ab69fbb",
+    ),
+    (
+        ["verify", "path-extremal", "--max-n", "10", "--len", "6"],
+        "1b63e789afe3b23cc12b3479ccb03d48e386569e667abcb92333816f5267b0af",
+    ),
+    (
+        ["counterexample", "--c", "3/5", "--k", "100", "--len", "50"],
+        "3c3d17f67bc44d2121f65c736036c163e51ec820e3c10902557c7dcafb2abd3c",
+    ),
+    (
+        ["broom-profile", "--n", "40", "--len", "6"],
+        "827f30672fa4ad58ac9d3a301f1c6ea0955c542f25854f27ec1f745fbaca17ad",
+    ),
+    (
+        ["broom-profile", "--n", "40", "--len", "6", "--format", "json"],
+        "5f73e30cd89e7a5d46096fea3560ab46cd6df55f8d17263b3b101947ae308cc7",
+    ),
+    (
+        ["broom-profile", "--n", "200", "--len", "10", "--format", "json"],
+        "e7cc7d94c24feffe61e9e818224e7016c6f9703e54ce0349da42308923fcf9d4",
+    ),
+]
+
+# (kind, length, stdout digest) of `count` on FIXED_TREE
+GOLDEN_COUNTS = [
+    ("closed", "10", "d02086d65c69d5b315c087307b2912e0e26063b47c97b0700c557012bf280667"),
+    ("closed", "9", "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("all", "9", "04bc08e87ab30a5910efc2d148b2e26013829418358962baefaf755e69a4170d"),
+    ("paths", "4", "7ee29791fc17e986b97128845622b077fb45e349fdb80523fac9dba879b4ad60"),
+]
+
+
+def run(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture
+def fixed_tree(tmp_path):
+    path = tmp_path / "fixed.tree"
+    path.write_text(FIXED_TREE)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_stdout(argv, digest, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("kind,length,digest", GOLDEN_COUNTS)
+def test_golden_count(kind, length, digest, fixed_tree, capsys):
+    code, out, err = run(["count", "--kind", kind, "--len", length, fixed_tree], capsys)
+    assert (code, err) == (0, "")
+    assert sha256(out) == digest
+
+
+def test_count_several_files(fixed_tree, capsys):
+    code, out, _ = run(["count", "--kind", "wiener", fixed_tree, fixed_tree], capsys)
+    value = wiener(parse_tree_text(FIXED_TREE))
+    assert code == 0
+    assert out == f"file,value\n{fixed_tree},{value}\n{fixed_tree},{value}\n"
+
+
+def test_missing_file_prints_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.tree")
+    code, out, err = run(["count", "--kind", "all", "--len", "2", missing], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_missing_file_process_exit_code(tmp_path):
+    missing = str(tmp_path / "missing.tree")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(treewalks.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "treewalks.cli", "kc", "--tree", missing, "--x", "0", "--y", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot read {missing}: ")
+
+
+def test_count_rejects_length_zero(fixed_tree, capsys):
+    code, out, err = run(["count", "--kind", "paths", "--len", "0", fixed_tree], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --len is required and must be >= 1\n"
+
+
+def test_broom_profile_rejects_odd_length(capsys):
+    code, out, err = run(["broom-profile", "--n", "20", "--len", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: broom profile needs even ell >= 4\n"
+
+
+def test_counterexample_false_verdict_exits_one(capsys):
+    code, out, _ = run(["counterexample", "--c", "1/2", "--k", "20", "--len", "10"], capsys)
+    assert code == 1
+    assert '"verdict": false' in out

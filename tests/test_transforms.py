@@ -12,7 +12,7 @@ from treewalks.transforms import (
     valency,
 )
 from treewalks.trees import canonical_code, distance, is_isomorphic, tree
-from treewalks.walks import count_closed_walks, count_ell_paths
+from treewalks.walks import closed_walk_profile, count_closed_walks, count_ell_paths, walk_profile
 
 from conftest import trees
 
@@ -152,3 +152,19 @@ class TestDcTransform:
                                 continue
                             gain = count_ell_paths(dc_transform(t, v, w), ell) - base
                             assert gain == valency(t, w, ell).r - valency(t, v, ell).r
+
+
+class TestKcMonotoneTheorem:
+    """The paper's main theorem: the end-to-end path move never lowers the
+    number of walks or of closed walks of any length."""
+
+    @given(trees(min_n=2, max_n=20))
+    @settings(deadline=None, max_examples=25)
+    def test_kc_never_lowers_walk_profiles(self, t):
+        base_all, base_closed = walk_profile(t, 12), closed_walk_profile(t, 12)
+        for bp in bare_paths(t):
+            moved = kc_transform(t, *bp.endpoints)
+            for before, after in zip(base_all, walk_profile(moved, 12)):
+                assert before <= after
+            for before, after in zip(base_closed, closed_walk_profile(moved, 12)):
+                assert before <= after

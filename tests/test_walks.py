@@ -10,10 +10,13 @@ from treewalks.generate import (
 )
 from treewalks.trees import distance, distances_from, tree
 from treewalks.walks import (
+    closed_walk_profile,
     count_closed_walks,
     count_ell_paths,
     count_walks,
     enumerate_walks,
+    path_profile,
+    walk_profile,
     wiener,
 )
 
@@ -137,3 +140,137 @@ class TestWiener:
     @settings(deadline=None)
     def test_matches_distance_sum_oracle(self, t):
         assert wiener(t) == wiener_oracle(t)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the per-length kernels
+
+
+def walks_from(adj, source, ell):
+    """{end: number of ell-step walks from source to end}, by sparse steps."""
+    vec = {source: 1}
+    for _ in range(ell):
+        nxt = {}
+        for v, c in vec.items():
+            for u in adj[v]:
+                nxt[u] = nxt.get(u, 0) + c
+        vec = nxt
+    return vec
+
+
+def closed_walk_oracle(t, ell):
+    """trace(A^ell) by one sparse vector walk per source, with the leaves
+    on a common neighbor walked once and weighted by their number."""
+    adj = t.adjacency
+    leaf_groups = {}
+    sources = []
+    for v in range(t.n):
+        if len(adj[v]) == 1 and t.n > 1:
+            leaf_groups.setdefault(adj[v][0], []).append(v)
+        else:
+            sources.append((v, 1))
+    sources += [(min(g), len(g)) for g in leaf_groups.values()]
+    return sum(mult * walks_from(adj, s, ell).get(s, 0) for s, mult in sources)
+
+
+def walk_oracle(t, ell):
+    """1^T A^ell 1 as the sum over sources of the walks leaving them."""
+    return sum(sum(walks_from(t.adjacency, s, ell).values()) for s in range(t.n))
+
+
+def path_oracle(t, max_len):
+    """Unordered pairs at each distance, from all-pairs BFS distances."""
+    out = [0] * (max_len + 1)
+    for v in range(t.n):
+        for d in distances_from(t, v):
+            if d <= max_len:
+                out[d] += 1
+    return [out[0]] + [c // 2 for c in out[1:]]
+
+
+class TestClosedWalkProfile:
+    def test_matches_per_source_oracle(self):
+        for n in range(1, 10):
+            for t in enumerate_free_trees(n):
+                assert closed_walk_profile(t, 12) == [closed_walk_oracle(t, ell) for ell in range(13)]
+
+    def test_matches_enumeration(self):
+        # enumeration lists every walk, so long lengths only on small trees
+        for n in range(1, 10):
+            max_len = 12 if n <= 5 else 8
+            for t in enumerate_free_trees(n):
+                profile = closed_walk_profile(t, max_len)
+                for ell in range(max_len + 1):
+                    closed = sum(len(enumerate_walks(t, ell, s, s)) for s in range(n))
+                    assert profile[ell] == closed
+
+    def test_star_closed_form(self):
+        # trace(A^(2j)) of the star K_{1,m} is 2 m^j; of the path on
+        # 3 vertices (a star with m = 2) it is 2^(j+1)
+        for m in range(1, 8):
+            profile = closed_walk_profile(star_tree(m + 1), 30)
+            assert profile[0] == m + 1
+            assert profile[2::2] == [2 * m**j for j in range(1, 16)]
+            assert not any(profile[1::2])
+
+    def test_prefix_consistency(self, p4):
+        assert closed_walk_profile(p4, 7) == closed_walk_profile(p4, 12)[:8]
+
+    def test_rejects_negative_length(self, p4):
+        with pytest.raises(ValueError):
+            closed_walk_profile(p4, -1)
+
+    def test_single_vertex(self):
+        assert closed_walk_profile(tree(1, []), 4) == [1, 0, 0, 0, 0]
+
+    @given(trees(min_n=1, max_n=40), st.integers(0, 16))
+    @settings(deadline=None, max_examples=40)
+    def test_random_trees(self, t, max_len):
+        profile = closed_walk_profile(t, max_len)
+        assert profile == [closed_walk_oracle(t, ell) for ell in range(max_len + 1)]
+        for ell in range(1, max_len + 1):
+            assert count_closed_walks(t, ell) == profile[ell]
+
+
+class TestWalkProfile:
+    def test_matches_oracle_and_enumeration(self):
+        for n in range(1, 8):
+            for t in enumerate_free_trees(n):
+                profile = walk_profile(t, 6)
+                assert profile == [walk_oracle(t, ell) for ell in range(7)]
+                assert profile == [len(enumerate_walks(t, ell)) for ell in range(7)]
+
+    def test_rejects_negative_length(self, p4):
+        with pytest.raises(ValueError):
+            walk_profile(p4, -1)
+
+    @given(trees(min_n=1, max_n=40), st.integers(0, 16))
+    @settings(deadline=None, max_examples=40)
+    def test_random_trees(self, t, max_len):
+        profile = walk_profile(t, max_len)
+        assert profile == [walk_oracle(t, ell) for ell in range(max_len + 1)]
+        for ell in range(1, max_len + 1):
+            assert count_walks(t, ell) == profile[ell]
+
+
+class TestPathProfile:
+    def test_matches_distance_oracle(self):
+        for n in range(1, 10):
+            for t in enumerate_free_trees(n):
+                for max_len in (0, 1, 3, n + 1):
+                    assert path_profile(t, max_len) == path_oracle(t, max_len)
+
+    def test_rejects_negative_length(self, p4):
+        with pytest.raises(ValueError):
+            path_profile(p4, -1)
+
+    @given(trees(min_n=1, max_n=40), st.integers(0, 45))
+    @settings(deadline=None, max_examples=40)
+    def test_random_trees(self, t, max_len):
+        profile = path_profile(t, max_len)
+        assert profile == path_oracle(t, max_len)
+        for ell in range(1, max_len + 1):
+            assert count_ell_paths(t, ell) == profile[ell]
+        if max_len >= t.n:
+            assert sum(profile[1:]) == t.n * (t.n - 1) // 2
+            assert sum(ell * c for ell, c in enumerate(profile)) == wiener(t)
