@@ -65,6 +65,8 @@ def _load_tree(path: str) -> Tree:
             text = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: not UTF-8 text ({exc})") from None
     return parse_tree_text(text)
 
 
@@ -234,22 +236,12 @@ def _cmd_verify(config: RunConfig) -> int:
             config.options["max_n"], config.options["max_len"], workers=config.workers
         )
     elif name == "kc-monotone":
-        kind = config.options["kind"]
-        kinds = ("closed", "all") if kind == "both" else (kind,)
-        report = None
-        for k in kinds:
-            part = verify_kc_monotone(
-                config.options["max_n"],
-                config.options["max_len"],
-                kind=k,
-                workers=config.workers,
-            )
-            if report is None:
-                report = part
-            else:
-                report.checks.extend(part.checks)
-                report.scope["kind"] = "both"
-        report.finalize()
+        report = verify_kc_monotone(
+            config.options["max_n"],
+            config.options["max_len"],
+            kind=config.options["kind"],
+            workers=config.workers,
+        )
     elif name == "injections":
         report = verify_injections(
             config.options["max_n"], config.options["max_len"], workers=config.workers

@@ -150,9 +150,13 @@ def enumerate_free_trees(n: int) -> list[Tree]:
         raise ValueError(f"n must be in 1..{MAX_FREE_TREE_N}, got {n}")
     if n == 1:
         return [tree(1, [])]
+    # Every class with n >= 2 has a leaf, so rooting it there gives a shape
+    # (child,).  Those leaf-rooted shapes are the first entries of
+    # _rooted_shapes(n), in the order of reversed(_rooted_shapes(n - 1)),
+    # so building only them keeps the same first occurrence of each class.
     by_code: dict[str, Tree] = {}
-    for shape in _rooted_shapes(n):
-        t = tree(n, _shape_edges(shape))
+    for child in reversed(_rooted_shapes(n - 1)):
+        t = tree(n, _shape_edges((child,)))
         by_code.setdefault(canonical_code(t), t)
     return [by_code[c] for c in sorted(by_code)]
 

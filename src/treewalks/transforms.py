@@ -65,10 +65,17 @@ def bare_paths(t: Tree) -> list[BarePath]:
         raise ValueError("bare paths need n >= 2")
     out = []
     for x in range(t.n):
-        for y in range(x + 1, t.n):
-            path = _path_if_bare(t, x, y)
-            if path is not None:
-                out.append(BarePath(path))
+        # walk out of x along each edge, through degree-two vertices only
+        for first in t.adjacency[x]:
+            path = [x, first]
+            while True:
+                if x < path[-1]:
+                    out.append(BarePath(tuple(path)))
+                ahead = t.adjacency[path[-1]]
+                if len(ahead) != 2:
+                    break
+                path.append(ahead[0] if ahead[1] == path[-2] else ahead[1])
+    out.sort(key=lambda bp: bp.endpoints)
     return out
 
 

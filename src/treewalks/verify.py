@@ -165,48 +165,54 @@ def verify_closed_extremal(max_n: int, max_len: int, workers: int = 1) -> Verifi
     return report.finalize()
 
 
-def _kc_monotone_rows(args) -> list:
-    t, index, max_len, kind = args
-    profile = closed_walk_profile if kind == "closed" else walk_profile
-    cache: dict[str, list] = {}
+_KC_PROFILES = {"closed": closed_walk_profile, "all": walk_profile}
 
-    def vector(tr: Tree) -> list:
+
+def _kc_monotone_rows(args) -> list:
+    t, index, max_len, kinds = args
+    cache: dict[str, dict] = {}
+
+    def vectors(tr: Tree) -> dict:
         code = canonical_code(tr)
         if code not in cache:
-            cache[code] = profile(tr, max_len)[1:]
+            cache[code] = {kind: _KC_PROFILES[kind](tr, max_len)[1:] for kind in kinds}
         return cache[code]
 
     rows = []
-    base_vec = vector(t)
+    base = vectors(t)
     for bp in bare_paths(t):
         x, y = bp.endpoints
-        moved = vector(kc_transform(t, x, y))
+        moved = vectors(kc_transform(t, x, y))
         pid = "-".join(map(str, bp.vertices))
-        for ell in range(1, max_len + 1):
-            rows.append(
-                Check(
-                    f"n={t.n:02d} t={index:03d} path={pid} len={ell:02d} {kind}",
-                    base_vec[ell - 1],
-                    moved[ell - 1],
-                    "<=",
-                    base_vec[ell - 1] <= moved[ell - 1],
+        for kind in kinds:
+            before, after = base[kind], moved[kind]
+            for ell in range(1, max_len + 1):
+                rows.append(
+                    Check(
+                        f"n={t.n:02d} t={index:03d} path={pid} len={ell:02d} {kind}",
+                        before[ell - 1],
+                        after[ell - 1],
+                        "<=",
+                        before[ell - 1] <= after[ell - 1],
+                    )
                 )
-            )
     return rows
 
 
 def verify_kc_monotone(
     max_n: int, max_len: int, kind: str = "closed", workers: int = 1
 ) -> VerificationReport:
-    """Counts of the given kind must never decrease under any single
-    end-to-end path move, over every tree up to max_n and every bare path."""
-    if kind not in ("closed", "all"):
-        raise ValueError(f"kind must be 'closed' or 'all', got {kind!r}")
+    """Counts of the given kind ('closed', 'all', or 'both') must never
+    decrease under any single end-to-end path move, over every tree up to
+    max_n and every bare path.  'both' checks the two kinds in one pass."""
+    if kind not in ("closed", "all", "both"):
+        raise ValueError(f"kind must be 'closed', 'all' or 'both', got {kind!r}")
+    kinds = ("closed", "all") if kind == "both" else (kind,)
     report = VerificationReport(scope={"max_n": max_n, "max_len": max_len, "kind": kind})
     jobs = []
     for n in range(2, max_n + 1):
         for index, t in enumerate(enumerate_free_trees(n)):
-            jobs.append((t, index, max_len, kind))
+            jobs.append((t, index, max_len, kinds))
     for rows in _pmap(_kc_monotone_rows, jobs, workers):
         report.checks.extend(rows)
     return report.finalize()
@@ -448,6 +454,8 @@ def verify_injections(
     """Exhaustively check injectivity, validity, length- and
     type-preservation of the word maps over every context from trees up to
     max_n, plus the endpoint-swap counting inequalities."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     report = VerificationReport(
         scope={"max_n": max_n, "max_len": max_len, "suites": ",".join(suites)}
     )
@@ -673,7 +681,6 @@ def _shrink_diameter(t: Tree, ell: int) -> Tree | None:
     v, w = target
     path = tree_path(t, v, w)
     vprime = path[ell]
-    dist = distances_from(t, v)
     on_v_side = tree_path(t, vprime, v)[1]
     beyond = set()
     stack = [x for x in t.neighbors(vprime) if x != on_v_side]
@@ -685,7 +692,6 @@ def _shrink_diameter(t: Tree, ell: int) -> Tree | None:
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
-    del dist
     cur = t
     moved = False
     while beyond:

@@ -26,6 +26,10 @@ GOLDEN = [
         "0a28786dbc0ee377fa6f6e45c398feac14db63e67f5bfe13e01dd76f6cdd9f97",
     ),
     (
+        ["verify", "kc-monotone", "--max-n", "7", "--max-len", "6", "--kind", "both", "--format", "json"],
+        "363ec31c984d96ff0efd21f61f6ed628a0069994f54fafe1f0eb9b38a4b20c4a",
+    ),
+    (
         ["verify", "path-extremal", "--max-n", "10", "--len", "5"],
         "b6656a297c9b25ed4d5bf13673883d9c8f8680e23debcc6d0b8c4d2d3ab69fbb",
     ),
@@ -50,6 +54,23 @@ GOLDEN = [
         "e7cc7d94c24feffe61e9e818224e7016c6f9703e54ce0349da42308923fcf9d4",
     ),
 ]
+
+# stdout digest of `enumerate --n k` (edgelist), k = 1..12, recorded before
+# enumeration switched to leaf-rooted candidates
+GOLDEN_ENUMERATE = {
+    1: "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    2: "1e7a4f32fb9185df1c6fd771a5cf931f03681ea1d0ee5e4efb66e78a58277eeb",
+    3: "78346fce52be56f4953a4bfa9eaded489c594537e9430783119b2bf02a5b80b3",
+    4: "b0ce56c68927b73288b113e15f6bc00a883641517df0f93edee4ddc49dce3b9e",
+    5: "0dfead5d690538a432da3539662ea56722554f3547ba81ff9b10f9fa6508252c",
+    6: "e0307043454f54744e3aad9a572d491e3ff5b174cd11876a22d27222024740b9",
+    7: "01c8c6663a82b7f768ad1f791111990b6b5340d74b609c603e0c19c845af9d0e",
+    8: "6bd2f3faa6e6c704aa87f3351bb28ce6a83424d730804de379c750bd79fa2324",
+    9: "8fdb5b049a746daa8d91cca5e29eed0364f73076d176a5366bd6f09e7c0a8670",
+    10: "57efe40707a608b390ab6fe760d58faeb644059f10f80b8035b1e5f08beaf2cd",
+    11: "c83e9e5d27ea99ce472ddd193a94989d486a32d47d22bd883fe2f48fa7fdeb8b",
+    12: "47546be449646d9d62eb02512035ad992f18d6009b86f02431c8f21105ef2773",
+}
 
 # (kind, length, stdout digest) of `count` on FIXED_TREE
 GOLDEN_COUNTS = [
@@ -82,6 +103,19 @@ def test_golden_stdout(argv, digest, capsys):
     code, out, err = run(argv, capsys)
     assert (code, err) == (0, "")
     assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("n,digest", GOLDEN_ENUMERATE.items())
+def test_golden_enumerate(n, digest, capsys):
+    code, out, err = run(["enumerate", "--n", str(n)], capsys)
+    assert (code, err) == (0, "")
+    assert sha256(out) == digest
+
+
+def test_enumerate_rejects_n_past_cap(capsys):
+    code, out, err = run(["enumerate", "--n", "13"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: n must be in 1..12, got 13\n"
 
 
 @pytest.mark.parametrize("kind,length,digest", GOLDEN_COUNTS)
@@ -120,6 +154,41 @@ def test_missing_file_process_exit_code(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: cannot read {missing}: ")
+
+
+def test_non_utf8_file_names_the_file(tmp_path, capsys):
+    binary = tmp_path / "binary.tree"
+    binary.write_bytes(b"3\n0 1\n1 2\n\xd0\x00\xff")
+    code, out, err = run(["count", "--kind", "all", "--len", "2", str(binary)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {binary}: not UTF-8 text (")
+
+
+def test_python_m_treewalks_matches_cli_module():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(treewalks.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    results = []
+    for module in ("treewalks", "treewalks.cli"):
+        for argv in (["enumerate", "--n", "6"], ["enumerate", "--n", "13"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+            )
+            results.append((proc.returncode, proc.stdout, proc.stderr))
+    assert results[:2] == results[2:]
+    assert [code for code, _, _ in results[:2]] == [0, 2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "injections", "--max-n", "5"], ["words", "verify", "--max-n", "5"]],
+    ids=["verify injections", "words verify"],
+)
+@pytest.mark.parametrize("max_len", ["0", "-1"])
+def test_injections_reject_max_len_below_one(argv, max_len, capsys):
+    code, out, err = run(argv + ["--max-len", max_len], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: max_len must be >= 1, got {max_len}\n"
 
 
 def test_count_rejects_length_zero(fixed_tree, capsys):

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treewalks.generate import broom, enumerate_free_trees, path_tree, star_tree
+from treewalks.generate import (
+    all_labeled_trees,
+    broom,
+    enumerate_free_trees,
+    path_tree,
+    star_tree,
+)
 from treewalks.transforms import (
     bare_paths,
     dc_transform,
@@ -11,7 +17,7 @@ from treewalks.transforms import (
     kc_transform,
     valency,
 )
-from treewalks.trees import canonical_code, distance, is_isomorphic, tree
+from treewalks.trees import canonical_code, distance, is_isomorphic, tree, tree_path
 from treewalks.walks import closed_walk_profile, count_closed_walks, count_ell_paths, walk_profile
 
 from conftest import trees
@@ -32,6 +38,25 @@ class TestBarePaths:
         # 5-vertex broom: handle pairs {01, 02, 12} plus star edges {2-3, 2-4}
         got = {bp.vertices for bp in bare_paths(broom(2, 2))}
         assert got == {(0, 1), (0, 1, 2), (1, 2), (2, 3), (2, 4)}
+
+    @staticmethod
+    def pair_oracle(t):
+        return [
+            tree_path(t, x, y)
+            for x in range(t.n)
+            for y in range(x + 1, t.n)
+            if is_bare_path(t, x, y)
+        ]
+
+    def test_matches_pair_oracle_on_free_trees(self):
+        for n in range(2, 11):
+            for t in enumerate_free_trees(n):
+                assert [bp.vertices for bp in bare_paths(t)] == self.pair_oracle(t)
+
+    def test_matches_pair_oracle_on_labeled_trees(self):
+        for n in range(2, 7):
+            for t in all_labeled_trees(n):
+                assert [bp.vertices for bp in bare_paths(t)] == self.pair_oracle(t)
 
     def test_interior_degree_two(self):
         for t in enumerate_free_trees(7):
