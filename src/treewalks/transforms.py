@@ -86,7 +86,13 @@ def kc_transform(t: Tree, x: int, y: int) -> Tree:
     path = _path_if_bare(t, x, y)
     if path is None:
         raise ValueError(f"({x}, {y}) does not span a bare path")
-    z = path[-2]
+    return _kc_along(t, path)
+
+
+def _kc_along(t: Tree, path: tuple[int, ...]) -> Tree:
+    """kc_transform along a path the caller already knows is bare, from
+    path[0] to path[-1]."""
+    x, y, z = path[0], path[-1], path[-2]
     moved = [w for w in t.neighbors(y) if w != z]
     edges = set(t.edges)
     for w in moved:
@@ -100,9 +106,8 @@ def kc_moves(t: Tree) -> set[CanonicalCode]:
     over all bare paths and both orientations, deduplicated."""
     out: set[CanonicalCode] = set()
     for bp in bare_paths(t):
-        x, y = bp.endpoints
-        out.add(canonical_code(kc_transform(t, x, y)))
-        out.add(canonical_code(kc_transform(t, y, x)))
+        out.add(canonical_code(_kc_along(t, bp.vertices)))
+        out.add(canonical_code(_kc_along(t, bp.vertices[::-1])))
     return out
 
 

@@ -21,14 +21,13 @@ from .generate import (
     path_tree,
     star_tree,
 )
-from .transforms import bare_paths, dc_transform, kc_transform, valency
+from .transforms import _kc_along, bare_paths, dc_transform, valency
 from .trees import Tree, canonical_code, distance, distances_from, tree_path
 from .walks import (
     closed_walk_profile,
     count_closed_walks,
     count_ell_paths,
     count_walks,
-    enumerate_walks,
     walk_profile,
     wiener,
 )
@@ -40,13 +39,12 @@ from .words import (
     build_context,
     classify,
     decode_word,
-    encode_walk,
     f_map,
     g_even,
     g_odd,
     g_total,
-    is_closed_word,
     h_map,
+    word_sets,
     words_of,
 )
 
@@ -181,8 +179,7 @@ def _kc_monotone_rows(args) -> list:
     rows = []
     base = vectors(t)
     for bp in bare_paths(t):
-        x, y = bp.endpoints
-        moved = vectors(kc_transform(t, x, y))
+        moved = vectors(_kc_along(t, bp.vertices))
         pid = "-".join(map(str, bp.vertices))
         for kind in kinds:
             before, after = base[kind], moved[kind]
@@ -222,32 +219,22 @@ def verify_kc_monotone(
 # Injection suites
 
 
-def _word_sets(ctx, walks_by_len, ell):
-    words = set()
-    closed = set()
-    for w in walks_by_len[ell]:
-        word = encode_walk(ctx, w, HOST_T)
-        words.add(word)
-        if w[0] == w[-1]:
-            closed.add(word)
-    return words, closed
-
-
 def _injection_rows(args) -> list:
     t, index, max_len, suites = args
     rows = []
-    walks_by_len = {ell: enumerate_walks(t, ell) for ell in range(1, max_len + 1)}
     for bp in bare_paths(t):
         ctx = build_context(t, *bp.endpoints)
+        t_sets = word_sets(ctx, HOST_T, max_len)
+        t2_sets = word_sets(ctx, HOST_T2, max_len) if "h" in suites else None
         pid = "-".join(map(str, bp.vertices))
         base = f"n={t.n:02d} t={index:03d} path={pid}"
         for ell in range(1, max_len + 1):
             tag = f"{base} len={ell:02d}"
-            words, closed = _word_sets(ctx, walks_by_len, ell)
+            words, closed = t_sets[ell]
             if "f" in suites:
                 rows.extend(_check_f(ctx, tag, words, closed))
             if "h" in suites:
-                rows.extend(_check_h(ctx, tag, words))
+                rows.extend(_check_h(ctx, tag, words, t2_sets[ell][0]))
             if "g" in suites:
                 rows.extend(_check_g(ctx, tag, ell))
             if "lemmas" in suites:
@@ -260,9 +247,10 @@ def _image_ok(ctx, word, image, require_closed):
         return False
     if classify(image) is not classify(word):
         return False
-    if not decode_word(ctx, image, HOST_T2):
+    walks = decode_word(ctx, image, HOST_T2)
+    if not walks:
         return False
-    if require_closed and not is_closed_word(ctx, image, HOST_T2):
+    if require_closed and not any(w[0] == w[-1] for w in walks):
         return False
     return True
 
@@ -307,7 +295,7 @@ def _check_f(ctx, tag, words, closed):
     return rows
 
 
-def _check_h(ctx, tag, words):
+def _check_h(ctx, tag, words, t2_words):
     images = []
     good = True
     for word in sorted(words):
@@ -318,10 +306,8 @@ def _check_h(ctx, tag, words):
     row = Check(
         f"{tag} h-inject", len(words), distinct, "==", good and distinct == len(words)
     )
-    ell = len(next(iter(words))) if words else 0
     rows = [row]
     if words:
-        t2_words = words_of(ctx, HOST_T2, ell)
         rows.append(
             Check(
                 f"{tag} word-count-monotone",
@@ -681,7 +667,7 @@ def _shrink_diameter(t: Tree, ell: int) -> Tree | None:
     v, w = target
     path = tree_path(t, v, w)
     vprime = path[ell]
-    on_v_side = tree_path(t, vprime, v)[1]
+    on_v_side = path[ell - 1]
     beyond = set()
     stack = [x for x in t.neighbors(vprime) if x != on_v_side]
     seen = set(stack) | {vprime, on_v_side}

@@ -35,6 +35,14 @@ The maps:
   for the A-side.
 * h_map stitches f_map and the g-injections into a length- and
   type-preserving injection on all T-words.
+
+A PathContext memoizes the walks each (word, host) decodes to, each
+f-image, and the labeled side adjacency of each (host, part).  The memos
+live exactly as long as their context (a sweep builds one context per tree
+and bare path and drops it after the last length), and they sit under the
+validations, never in place of them: f_map, f_inverse and h_map still
+check that their input decodes and that its type is in the domain before
+a memoized result is returned, and decode_word hands out a fresh list.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .transforms import kc_transform, _path_if_bare
+from .transforms import _kc_along, _path_if_bare
 from .trees import Tree
 from .walks import Walk
 
@@ -74,6 +82,7 @@ __all__ = [
     "reverse",
     "split_c_block",
     "validate_word",
+    "word_sets",
     "word_to_str",
     "words_of",
 ]
@@ -109,6 +118,10 @@ class PathContext:
     _edge_label_t2: dict = field(repr=False)
     _label_edge: dict = field(repr=False)  # Letter -> (u,v), host T
     _label_edge_t2: dict = field(repr=False)
+    # memos, see the module docstring
+    _walks: dict = field(default_factory=dict, repr=False)  # (word, host) -> walks
+    _f_images: dict = field(default_factory=dict, repr=False)  # T-word -> f-image
+    _adjacency: dict = field(default_factory=dict, repr=False)  # (host, part) -> lists
 
     @property
     def k(self) -> int:
@@ -190,7 +203,7 @@ def build_context(t: Tree, x: int, y: int) -> PathContext:
         edge_label[e] = ("b", i + 1)
     assert len(edge_label) == t.n - 1
 
-    t2 = kc_transform(t, x, y)
+    t2 = _kc_along(t, path)
     p0, pk = path[0], path[-1]
     edge_label_t2: dict[tuple[int, int], Letter] = {}
     for (u, v), letter in edge_label.items():
@@ -231,10 +244,11 @@ def parse_word(text: str) -> Word:
 def _trace(ctx: PathContext, word: Word, start: int, host: str) -> tuple[int, ...] | None:
     """Vertex positions of the walk spelled by `word` from `start` in the
     host, or None when the word is not walkable from there."""
+    table = ctx._label_edge if host == HOST_T else ctx._label_edge_t2
     pos = start
     positions = [start]
     for letter in word:
-        edge = ctx.edge_of(letter, host)
+        edge = table.get(letter)
         if edge is None:
             return None
         u, v = edge
@@ -263,21 +277,23 @@ def decode_word(ctx: PathContext, word: Word, host: str) -> list[Walk]:
     """All walks in the host whose encoding is `word`.  A word over at
     least two distinct letters has at most one; a repeated single letter
     has two (one per direction); invalid words give an empty list."""
-    if not word:
-        return []
-    edge = ctx.edge_of(word[0], host)
-    if edge is None:
-        return []
-    walks = []
-    for start in sorted(edge):
-        positions = _trace(ctx, word, start, host)
-        if positions is not None:
-            walks.append(positions)
+    return list(_decoded(ctx, word, host))
+
+
+def _decoded(ctx: PathContext, word: Word, host: str) -> tuple[Walk, ...]:
+    """decode_word's walks, memoized on the context."""
+    key = (word, host)
+    walks = ctx._walks.get(key)
+    if walks is None:
+        edge = ctx.edge_of(word[0], host) if word else None
+        starts = sorted(edge) if edge is not None else ()
+        traced = (_trace(ctx, word, start, host) for start in starts)
+        walks = ctx._walks[key] = tuple(p for p in traced if p is not None)
     return walks
 
 
 def is_closed_word(ctx: PathContext, word: Word, host: str) -> bool:
-    return any(w[0] == w[-1] for w in decode_word(ctx, word, host))
+    return any(w[0] == w[-1] for w in _decoded(ctx, word, host))
 
 
 @dataclass(frozen=True)
@@ -464,19 +480,12 @@ def words_of(
     """The set of host words of the given length, optionally restricted to
     walks starting/ending at fixed vertices and to a side subgraph
     (part 'A' = A with the path, 'B' = B with the path, 'P' = path only)."""
-    kinds = _PART_KINDS[part]
-    t = ctx.tree if host == HOST_T else ctx.transformed_tree
-    adj: list[list[tuple[int, Letter]]] = [[] for _ in range(t.n)]
-    for v in range(t.n):
-        for u in t.adjacency[v]:
-            letter = ctx.label_of(v, u, host)
-            if letter[0] in kinds:
-                adj[v].append((u, letter))
+    adj = _side_adjacency(ctx, host, part)
     if length == 0:
-        sources = [start] if start is not None else range(t.n)
+        sources = [start] if start is not None else range(len(adj))
         return {() for v in sources if end is None or v == end}
     out: set[Word] = set()
-    sources = [start] if start is not None else list(range(t.n))
+    sources = [start] if start is not None else list(range(len(adj)))
     for s in sources:
         stack: list[tuple[int, Word]] = [(s, ())]
         while stack:
@@ -490,13 +499,54 @@ def words_of(
     return out
 
 
+def _side_adjacency(
+    ctx: PathContext, host: str, part: str | None
+) -> list[list[tuple[int, Letter]]]:
+    """Per vertex, the (neighbor, letter) steps of the host restricted to
+    the side subgraph `part`, memoized on the context."""
+    adj = ctx._adjacency.get((host, part))
+    if adj is None:
+        kinds = _PART_KINDS[part]
+        t = ctx.tree if host == HOST_T else ctx.transformed_tree
+        adj = ctx._adjacency[(host, part)] = [[] for _ in range(t.n)]
+        for v in range(t.n):
+            for u in t.adjacency[v]:
+                letter = ctx.label_of(v, u, host)
+                if letter[0] in kinds:
+                    adj[v].append((u, letter))
+    return adj
+
+
+def word_sets(
+    ctx: PathContext, host: str, max_len: int
+) -> list[tuple[set[Word], set[Word]]]:
+    """For every length 0..max_len, the host words of that length and those
+    among them that encode a closed walk, from one labeled walk enumeration
+    out of every start vertex that grows all walks by one letter per level.
+    The walks found for each nonempty word go into the context's decode
+    memo, so decode_word on these words is a lookup."""
+    adj = _side_adjacency(ctx, host, None)
+    walks = [((v,), ()) for v in range(len(adj))]  # (positions, word)
+    sets = [({()}, {()})]
+    for _ in range(max_len):
+        walks = [
+            (positions + (u,), word + (letter,))
+            for positions, word in walks
+            for u, letter in adj[positions[-1]]
+        ]
+        # walks stay sorted by start vertex, the order decode_word uses
+        decoded: dict[Word, tuple[Walk, ...]] = {}
+        for positions, word in walks:
+            decoded[word] = decoded.get(word, ()) + (positions,)
+        ctx._walks.update(((word, host), found) for word, found in decoded.items())
+        closed = {w for w, found in decoded.items() if any(p[0] == p[-1] for p in found)}
+        sets.append((set(decoded), closed))
+    return sets
+
+
 def closed_words(ctx: PathContext, host: str, length: int) -> set[Word]:
     """Host words of the given length encoding at least one closed walk."""
-    t = ctx.tree if host == HOST_T else ctx.transformed_tree
-    out: set[Word] = set()
-    for v in range(t.n):
-        out |= words_of(ctx, host, length, start=v, end=v)
-    return out
+    return word_sets(ctx, host, length)[length][1]
 
 
 # The injective maps.  f_map operates per type with two symmetric block
@@ -512,16 +562,18 @@ def f_map(ctx: PathContext, word: Word, closed: bool = False) -> Word:
     """
     if not word:
         raise ValueError("cannot map an empty word")
-    if not decode_word(ctx, word, HOST_T):
+    if not _decoded(ctx, word, HOST_T):
         raise ValueError("word is not valid in the original tree")
     wtype = classify(word)
     if wtype is WordType.T0:
         return word
     if wtype in (WordType.T21, WordType.T22) and not closed:
         raise ValueError(f"type {wtype.value} words are only mapped when closed")
-    if wtype in (WordType.T11, WordType.T21):
-        return _f_a_first(ctx, word)
-    return _f_b_first(ctx, word)
+    image = ctx._f_images.get(word)
+    if image is None:
+        surgery = _f_a_first if wtype in (WordType.T11, WordType.T21) else _f_b_first
+        image = ctx._f_images[word] = surgery(ctx, word)
+    return image
 
 
 def _f_a_first(ctx: PathContext, word: Word) -> Word:
@@ -580,7 +632,7 @@ def f_inverse(ctx: PathContext, word: Word, closed: bool = False) -> Word:
     by splitting the merged C-runs at the first visit to p_k."""
     if not word:
         raise ValueError("cannot map an empty word")
-    if not decode_word(ctx, word, HOST_T2):
+    if not _decoded(ctx, word, HOST_T2):
         raise ValueError("word is not valid in the transformed tree")
     wtype = classify(word)
     if wtype is WordType.T0:
@@ -759,7 +811,7 @@ def h_map(ctx: PathContext, word: Word) -> Word:
     """
     if not word:
         raise ValueError("cannot map an empty word")
-    if not decode_word(ctx, word, HOST_T):
+    if not _decoded(ctx, word, HOST_T):
         raise ValueError("word is not valid in the original tree")
     wtype = classify(word)
     if wtype in (WordType.T0, WordType.T11, WordType.T12):

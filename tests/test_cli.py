@@ -72,6 +72,24 @@ GOLDEN_ENUMERATE = {
     12: "47546be449646d9d62eb02512035ad992f18d6009b86f02431c8f21105ef2773",
 }
 
+# stdout digest of the word-map injection reports, recorded before the
+# injection sweep built its word sets by one labeled DFS per context and
+# memoized decodes and f-images
+GOLDEN_INJECTIONS = [
+    (
+        ["verify", "injections", "--max-n", "6", "--max-len", "4"],
+        "d675632577a14cca9b8078bb5d54f7ff913dca80133520ca5366a0dabd5ec84f",
+    ),
+    (
+        ["verify", "injections", "--max-n", "6", "--max-len", "4", "--format", "json"],
+        "f347f49f4dd65bf18a38f85365746e9e2fc5565d248f32616e8c13ba67840ff8",
+    ),
+    (
+        ["words", "verify", "--max-n", "6", "--max-len", "4"],
+        "916401c2abd2f21ff9259bbf20c5267ba6a82ca8eac8103f98b4a2bd3777550d",
+    ),
+]
+
 # (kind, length, stdout digest) of `count` on FIXED_TREE
 GOLDEN_COUNTS = [
     ("closed", "10", "d02086d65c69d5b315c087307b2912e0e26063b47c97b0700c557012bf280667"),
@@ -103,6 +121,23 @@ def test_golden_stdout(argv, digest, capsys):
     code, out, err = run(argv, capsys)
     assert (code, err) == (0, "")
     assert sha256(out) == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_INJECTIONS, ids=[" ".join(a) for a, _ in GOLDEN_INJECTIONS]
+)
+def test_golden_injections(argv, digest, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("argv", [["verify", "injections"], ["words", "verify"]])
+def test_injections_two_workers_match_one(argv, capsys):
+    scope = ["--max-n", "5", "--max-len", "3"]
+    outputs = [run(argv + scope + ["--workers", w], capsys) for w in ("1", "2")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 @pytest.mark.parametrize("n,digest", GOLDEN_ENUMERATE.items())

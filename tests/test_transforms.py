@@ -110,6 +110,19 @@ class TestKcMoves:
     def test_path4_moves(self, p4, s4):
         assert kc_moves(p4) == {canonical_code(p4), canonical_code(s4)}
 
+    def test_matches_kc_transform_both_ways(self):
+        # oracle: every unordered pair spanning a bare path, moved both ways
+        # by kc_transform, which re-derives the path itself
+        for n in range(2, 9):
+            for t in enumerate_free_trees(n):
+                expected = {
+                    canonical_code(kc_transform(t, x, y))
+                    for x in range(n)
+                    for y in range(n)
+                    if x != y and is_bare_path(t, x, y)
+                }
+                assert kc_moves(t) == expected
+
     def test_non_star_has_improving_move(self):
         for n in range(4, 10):
             by_code = {canonical_code(t): t for t in enumerate_free_trees(n)}

@@ -29,6 +29,7 @@ from treewalks.words import (
     reverse,
     split_c_block,
     validate_word,
+    word_sets,
     word_to_str,
     words_of,
 )
@@ -116,6 +117,13 @@ class TestEncodeDecode:
     def test_single_letter_two_walks(self, k1):
         assert decode_word(k1, parse_word("a1"), HOST_T) == [(0, 1), (1, 0)]
 
+    def test_result_is_a_fresh_list(self, k1):
+        word = parse_word("c1 c1")
+        walks = decode_word(k1, word, HOST_T)
+        walks.clear()
+        assert decode_word(k1, word, HOST_T) == [(1, 2, 1), (2, 1, 2)]
+        assert decode_word(k1, word, HOST_T2) == [(1, 2, 1), (2, 1, 2)]
+
     def test_disjoint_letters_give_nothing(self, k1):
         assert decode_word(k1, parse_word("a1 a1 b1"), HOST_T) == []
 
@@ -143,6 +151,35 @@ class TestEncodeDecode:
                 closed = {w for w in words if is_closed_word(ctx, w, HOST_T)}
                 expect = len(closed) + (t.n - 1 if ell % 2 == 0 else 0)
                 assert count_closed_walks(t, ell) == expect
+
+
+class TestWordSets:
+    def test_match_walk_enumeration(self):
+        # oracle: encode every enumerated walk; a word is closed when some
+        # walk spelling it is
+        for ctx in all_contexts(6):
+            for host, host_tree in ((HOST_T, ctx.tree), (HOST_T2, ctx.transformed_tree)):
+                sets = word_sets(ctx, host, 5)
+                assert len(sets) == 6
+                for ell in range(1, 6):
+                    walks = enumerate_walks(host_tree, ell)
+                    words = {encode_walk(ctx, w, host) for w in walks}
+                    closed = {encode_walk(ctx, w, host) for w in walks if w[0] == w[-1]}
+                    assert sets[ell] == (words, closed)
+
+    def test_primed_decodes_match_fresh_context(self):
+        # word_sets fills the decode memo; a fresh context traces instead
+        for ctx in all_contexts(5):
+            fresh = build_context(ctx.tree, ctx.p0, ctx.pk)
+            for host in (HOST_T, HOST_T2):
+                sets = word_sets(ctx, host, 4)
+                for ell in range(1, 5):
+                    for word in sets[ell][0]:
+                        assert decode_word(ctx, word, host) == decode_word(fresh, word, host)
+                assert decode_word(ctx, (), host) == []
+
+    def test_length_zero(self, k1):
+        assert word_sets(k1, HOST_T, 0) == [({()}, {()})]
 
 
 class TestGrammar:
@@ -320,6 +357,23 @@ class TestFMap:
         for ctx in all_contexts(5):
             for word in t_words(ctx, 1):
                 assert f_map(ctx, word, closed=False) == word
+
+    def test_closed_call_does_not_admit_open_call(self):
+        # a closed T21 word mapped with closed=True must still be refused
+        # with closed=False on the same context
+        word = parse_word("a1 a1 c1 b1 b1 c1")
+        found = 0
+        for t in enumerate_free_trees(5):
+            for bp in bare_paths(t):
+                ctx = build_context(t, *bp.endpoints)
+                if not is_closed_word(ctx, word, HOST_T):
+                    continue
+                found += 1
+                image = f_map(ctx, word, closed=True)
+                with pytest.raises(ValueError):
+                    f_map(ctx, word, closed=False)
+                assert f_map(ctx, word, closed=True) == image
+        assert found
 
     def test_open_type2_rejected(self, k1):
         with pytest.raises(ValueError):
