@@ -118,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-n", type=int, required=True)
         p.add_argument("--max-len", type=int, required=True)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--workers", type=int, default=1)
+        if name != "closed-extremal":
+            p.add_argument("--workers", type=int, default=1)
         if name == "kc-monotone":
             p.add_argument("--kind", choices=["closed", "all", "both"], default="both")
     p = vsub.add_parser("path-extremal")
@@ -232,9 +233,7 @@ def _cmd_words_verify(config: RunConfig) -> int:
 def _cmd_verify(config: RunConfig) -> int:
     name = config.options["verify_command"]
     if name == "closed-extremal":
-        report = verify_closed_extremal(
-            config.options["max_n"], config.options["max_len"], workers=config.workers
-        )
+        report = verify_closed_extremal(config.options["max_n"], config.options["max_len"])
     elif name == "kc-monotone":
         report = verify_kc_monotone(
             config.options["max_n"],

@@ -22,7 +22,7 @@ from .generate import (
     star_tree,
 )
 from .transforms import _kc_along, bare_paths, dc_transform, valency
-from .trees import Tree, canonical_code, distance, distances_from, tree_path
+from .trees import Tree, canonical_code, distances_from, tree_path
 from .walks import (
     closed_walk_profile,
     count_closed_walks,
@@ -115,6 +115,12 @@ def report_to_json(report: VerificationReport) -> str:
     return json.dumps(payload, sort_keys=True, default=str) + "\n"
 
 
+def _require(name: str, value: int, least: int) -> None:
+    """Reject a scope bound under which a sweep would check nothing."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _pmap(fn, items, workers: int):
     if workers <= 1:
         return [fn(item) for item in items]
@@ -129,10 +135,12 @@ def _pmap(fn, items, workers: int):
 # Closed-walk extremality and monotonicity sweeps
 
 
-def verify_closed_extremal(max_n: int, max_len: int, workers: int = 1) -> VerificationReport:
+def verify_closed_extremal(max_n: int, max_len: int) -> VerificationReport:
     """For each n <= max_n and even length, the star must attain the
     maximum closed-walk count and the path the minimum, uniquely whenever
     the counts are not all equal."""
+    _require("max_n", max_n, 1)
+    _require("max_len", max_len, 2)
     report = VerificationReport(scope={"max_n": max_n, "max_len": max_len})
     for n in range(1, max_n + 1):
         trees = enumerate_free_trees(n)
@@ -204,6 +212,9 @@ def verify_kc_monotone(
     max_n and every bare path.  'both' checks the two kinds in one pass."""
     if kind not in ("closed", "all", "both"):
         raise ValueError(f"kind must be 'closed', 'all' or 'both', got {kind!r}")
+    _require("max_n", max_n, 2)
+    _require("max_len", max_len, 1)
+    _require("workers", workers, 1)
     kinds = ("closed", "all") if kind == "both" else (kind,)
     report = VerificationReport(scope={"max_n": max_n, "max_len": max_len, "kind": kind})
     jobs = []
@@ -235,10 +246,13 @@ def _injection_rows(args) -> list:
                 rows.extend(_check_f(ctx, tag, words, closed))
             if "h" in suites:
                 rows.extend(_check_h(ctx, tag, words, t2_sets[ell][0]))
+            if "g" in suites or "lemmas" in suites:
+                # the B-side T-words from p0, shared by both suites
+                b_p0 = words_of(ctx, HOST_T, ell, start=ctx.p0, part="B")
             if "g" in suites:
-                rows.extend(_check_g(ctx, tag, ell))
+                rows.extend(_check_g(ctx, tag, ell, b_p0))
             if "lemmas" in suites:
-                rows.extend(_check_lemmas(ctx, tag, ell))
+                rows.extend(_check_lemmas(ctx, tag, ell, b_p0))
     return rows
 
 
@@ -324,13 +338,11 @@ def _has_b(word):
     return any(kind == "b" for kind, _ in word)
 
 
-def _check_g(ctx, tag, ell):
+def _check_g(ctx, tag, ell, b_p0):
     rows = []
     p0, pk, p1 = ctx.p0, ctx.pk, ctx.path[1]
     if ctx.k % 2 == 0:
-        domain = sorted(
-            w for w in words_of(ctx, HOST_T, ell, start=p0, part="B") if _has_b(w)
-        )
+        domain = sorted(w for w in b_p0 if _has_b(w))
         images = []
         good = True
         for word in domain:
@@ -382,9 +394,7 @@ def _check_g(ctx, tag, ell):
                     good and len(set(images)) == len(domain),
                 )
             )
-    domain = sorted(
-        w for w in words_of(ctx, HOST_T, ell, start=p0, part="B") if _has_b(w)
-    )
+    domain = sorted(w for w in b_p0 if _has_b(w))
     images = []
     good = True
     for word in domain:
@@ -408,10 +418,10 @@ def _check_g(ctx, tag, ell):
     return rows
 
 
-def _check_lemmas(ctx, tag, ell):
+def _check_lemmas(ctx, tag, ell, b_p0):
     rows = []
     p0, pk = ctx.p0, ctx.pk
-    w_p0 = len(words_of(ctx, HOST_T, ell, start=p0, part="B"))
+    w_p0 = len(b_p0)
     path_p0 = len(words_of(ctx, HOST_T, ell, start=p0, part="P"))
     lhs = w_p0 - path_p0
     if ctx.k % 2 == 0:
@@ -440,8 +450,9 @@ def verify_injections(
     """Exhaustively check injectivity, validity, length- and
     type-preservation of the word maps over every context from trees up to
     max_n, plus the endpoint-swap counting inequalities."""
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    _require("max_n", max_n, 2)
+    _require("max_len", max_len, 1)
+    _require("workers", workers, 1)
     report = VerificationReport(
         scope={"max_n": max_n, "max_len": max_len, "suites": ",".join(suites)}
     )
@@ -517,12 +528,13 @@ def build_counterexample(c, k: int, ell: int) -> CounterexampleResult:
 # Fixed-length path extremality
 
 
-def verify_path_extremal(max_n: int, ell: int, workers: int = 1) -> VerificationReport:
+def verify_path_extremal(max_n: int, ell: int) -> VerificationReport:
     """For each n <= max_n the maximum count of length-ell paths over all
     trees must equal the best multi-broom value (even ell) or the balanced
     double-broom formula (odd ell)."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
+    _require("max_n", max_n, 1)
     report = VerificationReport(scope={"max_n": max_n, "ell": ell})
     for n in range(1, max_n + 1):
         trees = enumerate_free_trees(n)
@@ -642,24 +654,29 @@ def _sorted_leaf_pairs(t: Tree):
                 yield v, w
 
 
-def _improve_valency(t: Tree, ell: int) -> Tree | None:
+def _leaf_distances(t: Tree) -> dict[int, list[int]]:
+    """The BFS distance row of every leaf: one BFS per leaf."""
+    return {v: distances_from(t, v) for v in t.leaves()}
+
+
+def _improve_valency(t: Tree, ell: int, dist: dict, r: dict) -> Tree | None:
     """One strict improvement: remove the leaf with smaller distance-ell
     valency in favor of a clone of the larger, over pairs at distance
     other than ell, smallest pair first."""
     for v, w in _sorted_leaf_pairs(t):
-        if distance(t, v, w) == ell:
+        if dist[v][w] == ell:
             continue
-        if valency(t, v, ell).r < valency(t, w, ell).r:
+        if r[v] < r[w]:
             return dc_transform(t, v, w)
     return None
 
 
-def _shrink_diameter(t: Tree, ell: int) -> Tree | None:
+def _shrink_diameter(t: Tree, ell: int, dist: dict, r: dict) -> Tree | None:
     """Replace everything beyond distance ell from a leaf (along a too-long
     leaf pair) with clones of that leaf, one delete-clone at a time."""
     target = None
     for v, w in _sorted_leaf_pairs(t):
-        if v < w and distance(t, v, w) > ell:
+        if v < w and dist[v][w] > ell:
             target = (v, w)
             break
     if target is None:
@@ -682,7 +699,7 @@ def _shrink_diameter(t: Tree, ell: int) -> Tree | None:
     moved = False
     while beyond:
         u = min(x for x in beyond if cur.degree(x) == 1)
-        if valency(cur, u, ell).r > valency(cur, v, ell).r:
+        if _valency_after(cur, u, ell, r, moved) > _valency_after(cur, v, ell, r, moved):
             break  # a strictly better move exists; the valency phase takes over
         cur = dc_transform(cur, u, v)
         beyond.discard(u)
@@ -690,13 +707,13 @@ def _shrink_diameter(t: Tree, ell: int) -> Tree | None:
     return cur if moved else None
 
 
-def _merge_leaf_classes(t: Tree, ell: int) -> Tree | None:
+def _merge_leaf_classes(t: Tree, ell: int, dist: dict, r: dict) -> Tree | None:
     """Merge the sibling class of one leaf onto another leaf at distance
     strictly between 2 and ell, preserving counts (valencies are equal at
     this point in the reduction)."""
     target = None
     for v, w in _sorted_leaf_pairs(t):
-        if 2 < distance(t, v, w) < ell:
+        if 2 < dist[v][w] < ell:
             target = (v, w)
             break
     if target is None:
@@ -707,17 +724,28 @@ def _merge_leaf_classes(t: Tree, ell: int) -> Tree | None:
     cur = t
     moved = False
     for u in siblings:
-        if valency(cur, u, ell).r > valency(cur, w, ell).r:
+        if _valency_after(cur, u, ell, r, moved) > _valency_after(cur, w, ell, r, moved):
             break
         cur = dc_transform(cur, u, w)
         moved = True
     return cur if moved else None
 
 
+def _valency_after(cur: Tree, u: int, ell: int, r: dict, moved: bool) -> int:
+    """r(u) in the tree an inner move loop has reached: read from the step's
+    table until the first move, then by BFS on the moved tree."""
+    return valency(cur, u, ell).r if moved else r[u]
+
+
 def dc_reduce_trace(t: Tree, ell: int) -> list[Tree]:
     """All intermediate trees of the greedy delete-clone reduction,
     starting with the input.  Every executed move keeps the length-ell
-    path count from decreasing."""
+    path count from decreasing.
+
+    Each step runs one BFS per leaf of the current tree and reads every
+    leaf-leaf distance and leaf valency from that table; only the inner
+    move loops of diameter shrinking and class merging run BFS on the trees
+    they produce (two per executed move)."""
     if ell < 3:
         raise ValueError("reduction needs ell >= 3")
     trace = [t]
@@ -728,10 +756,12 @@ def dc_reduce_trace(t: Tree, ell: int) -> list[Tree]:
         guard += 1
         if guard > limit:
             raise RuntimeError("delete-clone reduction did not converge")
+        dist = _leaf_distances(cur)
+        r = {v: row.count(ell) for v, row in dist.items()}
         nxt = (
-            _improve_valency(cur, ell)
-            or _shrink_diameter(cur, ell)
-            or _merge_leaf_classes(cur, ell)
+            _improve_valency(cur, ell, dist, r)
+            or _shrink_diameter(cur, ell, dist, r)
+            or _merge_leaf_classes(cur, ell, dist, r)
         )
         if nxt is None:
             return trace

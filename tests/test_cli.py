@@ -90,6 +90,15 @@ GOLDEN_INJECTIONS = [
     ),
 ]
 
+# (length, format, stdout digest) of `dc-reduce` on FIXED_TREE, recorded
+# before the reduction read its distances from one leaf table per step
+GOLDEN_DC_REDUCE = [
+    ("4", "edgelist", "5ae5923a27f3cba98a48809d30aa73279027dda3ba15cd052ab8ab5a7daee676"),
+    ("4", "dot", "54d6a00822622ad79a725ab008d0a4e0e74f0cdb9d8b2a233b509a93aae0d2da"),
+    ("5", "edgelist", "89bc99184a69c23cf741f158d1bf424d39d29c80fd9ffaf880b5a63aeb435d86"),
+    ("5", "dot", "66867e2ea97561e6cbc43989f85ff3d19f5c34ea0639deabc826cd0624a1fc4e"),
+]
+
 # (kind, length, stdout digest) of `count` on FIXED_TREE
 GOLDEN_COUNTS = [
     ("closed", "10", "d02086d65c69d5b315c087307b2912e0e26063b47c97b0700c557012bf280667"),
@@ -242,3 +251,59 @@ def test_counterexample_false_verdict_exits_one(capsys):
     code, out, _ = run(["counterexample", "--c", "1/2", "--k", "20", "--len", "10"], capsys)
     assert code == 1
     assert '"verdict": false' in out
+
+
+@pytest.mark.parametrize("length,fmt,digest", GOLDEN_DC_REDUCE)
+def test_golden_dc_reduce(length, fmt, digest, fixed_tree, capsys):
+    argv = ["dc-reduce", "--tree", fixed_tree, "--len", length, "--format", fmt]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert sha256(out) == digest
+
+
+def test_dc_reduce_rejects_length_two(fixed_tree, capsys):
+    code, out, err = run(["dc-reduce", "--tree", fixed_tree, "--len", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: reduction needs ell >= 3\n"
+
+
+def test_closed_extremal_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "closed-extremal", "--max-n", "4", "--max-len", "4", "--workers", "2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "unrecognized arguments: --workers 2" in err
+
+
+EMPTY_SCOPES = [
+    (
+        ["verify", "kc-monotone", "--max-n", "-5", "--max-len", "2", "--format", "json"],
+        "max_n must be >= 2, got -5",
+    ),
+    (["verify", "kc-monotone", "--max-n", "4", "--max-len", "0"], "max_len must be >= 1, got 0"),
+    (["verify", "closed-extremal", "--max-n", "0", "--max-len", "4"], "max_n must be >= 1, got 0"),
+    (["verify", "closed-extremal", "--max-n", "4", "--max-len", "1"], "max_len must be >= 2, got 1"),
+    (["verify", "path-extremal", "--max-n", "0", "--len", "4"], "max_n must be >= 1, got 0"),
+    (["verify", "injections", "--max-n", "1", "--max-len", "3"], "max_n must be >= 2, got 1"),
+    (["words", "verify", "--max-n", "1", "--max-len", "3"], "max_n must be >= 2, got 1"),
+    (
+        ["verify", "kc-monotone", "--max-n", "4", "--max-len", "2", "--workers", "0"],
+        "workers must be >= 1, got 0",
+    ),
+    (
+        ["verify", "injections", "--max-n", "4", "--max-len", "2", "--workers", "-1"],
+        "workers must be >= 1, got -1",
+    ),
+    (
+        ["words", "verify", "--max-n", "4", "--max-len", "2", "--workers", "0"],
+        "workers must be >= 1, got 0",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,message", EMPTY_SCOPES, ids=[" ".join(a) for a, _ in EMPTY_SCOPES])
+def test_empty_scope_exits_two(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"

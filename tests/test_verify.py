@@ -1,6 +1,19 @@
+import random
+
 import pytest
 
-from treewalks.verify import verify_kc_monotone
+from treewalks import transforms, trees, verify
+from treewalks.generate import from_pruefer
+from treewalks.transforms import dc_transform, valency
+from treewalks.trees import distance, tree_path
+from treewalks.verify import (
+    dc_reduce_trace,
+    verify_closed_extremal,
+    verify_injections,
+    verify_kc_monotone,
+    verify_path_extremal,
+)
+from treewalks.walks import count_ell_paths
 
 
 class TestKcMonotone:
@@ -16,3 +29,175 @@ class TestKcMonotone:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             verify_kc_monotone(4, 2, kind="open")
+
+
+# ---------------------------------------------------------------------------
+# Greedy delete-clone reduction
+
+
+def _oracle_pairs(t):
+    leaves = t.leaves()
+    return [(v, w) for v in leaves for w in leaves if v != w]
+
+
+def _oracle_improve(t, ell):
+    for v, w in _oracle_pairs(t):
+        if distance(t, v, w) == ell:
+            continue
+        if valency(t, v, ell).r < valency(t, w, ell).r:
+            return dc_transform(t, v, w)
+    return None
+
+
+def _oracle_shrink(t, ell):
+    target = None
+    for v, w in _oracle_pairs(t):
+        if v < w and distance(t, v, w) > ell:
+            target = (v, w)
+            break
+    if target is None:
+        return None
+    v, w = target
+    path = tree_path(t, v, w)
+    vprime = path[ell]
+    on_v_side = path[ell - 1]
+    beyond = set()
+    stack = [x for x in t.neighbors(vprime) if x != on_v_side]
+    seen = set(stack) | {vprime, on_v_side}
+    while stack:
+        x = stack.pop()
+        beyond.add(x)
+        for y in t.adjacency[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    cur = t
+    moved = False
+    while beyond:
+        u = min(x for x in beyond if cur.degree(x) == 1)
+        if valency(cur, u, ell).r > valency(cur, v, ell).r:
+            break
+        cur = dc_transform(cur, u, v)
+        beyond.discard(u)
+        moved = True
+    return cur if moved else None
+
+
+def _oracle_merge(t, ell):
+    target = None
+    for v, w in _oracle_pairs(t):
+        if 2 < distance(t, v, w) < ell:
+            target = (v, w)
+            break
+    if target is None:
+        return None
+    v, w = target
+    parent_v = t.neighbors(v)[0]
+    siblings = sorted(u for u in t.neighbors(parent_v) if t.degree(u) == 1)
+    cur = t
+    moved = False
+    for u in siblings:
+        if valency(cur, u, ell).r > valency(cur, w, ell).r:
+            break
+        cur = dc_transform(cur, u, w)
+        moved = True
+    return cur if moved else None
+
+
+def oracle_dc_trace(t, ell):
+    """The reduction as it was before the per-step leaf-distance table: one
+    BFS per distance and per valency read, pair by pair."""
+    trace = [t]
+    while True:
+        nxt = _oracle_improve(t, ell) or _oracle_shrink(t, ell) or _oracle_merge(t, ell)
+        if nxt is None:
+            return trace
+        trace.append(nxt)
+        t = nxt
+
+
+def _random_tree(rng, n):
+    return from_pruefer([rng.randrange(n) for _ in range(n - 2)], n)
+
+
+# the n = 36 input of the big-trees benchmark at seed 0 (15 leaves)
+PRUEFER_36 = [
+    28, 6, 21, 15, 25, 2, 5, 7, 12, 16, 11, 19, 11, 9, 28, 3, 15,
+    35, 9, 34, 19, 11, 31, 14, 16, 33, 7, 27, 27, 19, 13, 27, 12, 27,
+]
+
+
+class TestDcReduce:
+    CASES = [(seed, 3 + seed % 4) for seed in range(48)]
+
+    @pytest.mark.parametrize("seed,ell", CASES)
+    def test_trace_matches_pairwise_oracle(self, seed, ell):
+        rng = random.Random(seed)
+        t = _random_tree(rng, rng.randint(5, 30))
+        assert dc_reduce_trace(t, ell) == oracle_dc_trace(t, ell)
+
+    @pytest.mark.parametrize("seed,ell", CASES)
+    def test_path_count_never_decreases(self, seed, ell):
+        rng = random.Random(seed)
+        t = _random_tree(rng, rng.randint(5, 30))
+        counts = [count_ell_paths(x, ell) for x in dc_reduce_trace(t, ell)]
+        assert counts == sorted(counts)
+
+    def test_fixed_tree_uses_count_keeping_moves(self):
+        t = from_pruefer(PRUEFER_36, 36)
+        trace = dc_reduce_trace(t, 5)
+        assert trace == oracle_dc_trace(t, 5)
+        counts = [count_ell_paths(x, 5) for x in trace]
+        # shrink and merge moves keep the count; valency moves raise it
+        assert counts[0] < counts[-1]
+        assert any(a == b for a, b in zip(counts, counts[1:]))
+
+    @pytest.mark.parametrize("ell", [4, 5])
+    def test_bfs_runs_per_step(self, ell, monkeypatch):
+        events = []
+        real_bfs = trees.distances_from
+        real_table = verify._leaf_distances
+        real_dc = verify.dc_transform
+
+        def bfs(t, source):
+            events.append("bfs")
+            return real_bfs(t, source)
+
+        def table(t):
+            events.append(("step", len(t.leaves())))
+            return real_table(t)
+
+        def dc(t, v, w):
+            events.append("move")
+            return real_dc(t, v, w)
+
+        for module in (trees, transforms, verify):
+            monkeypatch.setattr(module, "distances_from", bfs)
+        monkeypatch.setattr(verify, "_leaf_distances", table)
+        monkeypatch.setattr(verify, "dc_transform", dc)
+        trace = dc_reduce_trace(from_pruefer(PRUEFER_36, 36), ell)
+        steps = []
+        for event in events:
+            if isinstance(event, tuple):
+                steps.append({"leaves": event[1], "bfs": 0, "move": 0})
+            else:
+                steps[-1][event] += 1
+        assert len(steps) == len(trace)
+        for step in steps:
+            assert step["bfs"] <= step["leaves"] + 2 * step["move"]
+
+    def test_rejects_short_length(self):
+        with pytest.raises(ValueError, match="ell >= 3"):
+            dc_reduce_trace(from_pruefer(PRUEFER_36, 36), 2)
+
+
+# ---------------------------------------------------------------------------
+# Scopes that would check nothing are rejected (see test_cli.py); the
+# smallest accepted ones check something
+
+
+def test_smallest_scopes_check_something():
+    assert verify_closed_extremal(1, 2).checks
+    assert verify_kc_monotone(2, 1).checks
+    assert verify_path_extremal(1, 4).checks
+    assert verify_injections(2, 1).checks
