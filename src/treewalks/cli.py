@@ -2,6 +2,12 @@
 serialization; all counting and transformation logic lives in the library
 modules.
 
+Import rule: at module level this file imports only what parsing and
+``_load_tree`` need (``argparse``, ``sys``, ``dataclasses`` and
+``.trees``).  Each ``_cmd_*`` handler imports the library functions it
+calls when it runs, so a process compiles and loads only the modules of
+its own subcommand: ``count`` never loads ``verify`` or ``words``.
+
 Exit codes: 0 all checks pass / verdict true, 1 violation or false verdict,
 2 usage error (bad flags, unreadable or malformed input).
 """
@@ -9,33 +15,10 @@ Exit codes: 0 all checks pass / verdict true, 1 violation or false verdict,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .generate import enumerate_free_trees, to_pruefer
-from .trees import (
-    Tree,
-    canonical_code,
-    format_tree_text,
-    parse_tree_text,
-    to_dot,
-)
-from .transforms import kc_moves, kc_transform
-from .verify import (
-    build_counterexample,
-    broom_profile,
-    dc_reduce,
-    report_to_csv,
-    report_to_json,
-    verify_closed_extremal,
-    verify_injections,
-    verify_kc_monotone,
-    verify_path_extremal,
-)
-from .walks import count_closed_walks, count_ell_paths, count_walks, wiener
-from .words import HOST_T, build_context, word_to_str
+from .trees import Tree, format_tree_text, parse_tree_text, to_dot
 
 __all__ = ["RunConfig", "dispatch", "main", "parse_rational"]
 
@@ -53,6 +36,8 @@ class RunConfig:
 def parse_rational(text: str) -> Fraction:
     """Exact rational from 'p/q' or a decimal string; never via binary
     floating point."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -74,6 +59,8 @@ def _emit_tree(t: Tree, fmt: str, labels: dict | None = None) -> str:
     if fmt == "edgelist":
         return format_tree_text(t)
     if fmt == "pruefer":
+        from .generate import to_pruefer
+
         return " ".join(map(str, to_pruefer(t))) + "\n" if t.n >= 2 else "\n"
     if fmt == "dot":
         return to_dot(t, edge_labels=labels)
@@ -152,6 +139,8 @@ def dispatch(config: RunConfig) -> int:
 
 
 def _cmd_enumerate(config: RunConfig) -> int:
+    from .generate import enumerate_free_trees
+
     out = []
     for t in enumerate_free_trees(config.options["n"]):
         out.append(_emit_tree(t, config.fmt))
@@ -160,6 +149,8 @@ def _cmd_enumerate(config: RunConfig) -> int:
 
 
 def _cmd_count(config: RunConfig) -> int:
+    from .walks import count_closed_walks, count_ell_paths, count_walks, wiener
+
     kind = config.options["kind"]
     length = config.options["length"]
     if kind != "wiener" and (length is None or length < 1):
@@ -183,6 +174,8 @@ def _cmd_count(config: RunConfig) -> int:
 
 
 def _cmd_kc(config: RunConfig) -> int:
+    from .transforms import kc_moves, kc_transform
+
     t = _load_tree(config.options["tree"])
     if config.options["list_moves"]:
         for code in sorted(kc_moves(t)):
@@ -195,6 +188,8 @@ def _cmd_kc(config: RunConfig) -> int:
     moved = kc_transform(t, x, y)
     labels = None
     if config.fmt == "dot":
+        from .words import build_context, word_to_str
+
         ctx = build_context(t, x, y)
         labels = {
             edge: word_to_str([letter])
@@ -205,6 +200,8 @@ def _cmd_kc(config: RunConfig) -> int:
 
 
 def _cmd_words_verify(config: RunConfig) -> int:
+    from .verify import verify_injections
+
     report = verify_injections(
         config.options["max_n"], config.options["max_len"], workers=config.workers
     )
@@ -231,6 +228,15 @@ def _cmd_words_verify(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
+    from .verify import (
+        report_to_csv,
+        report_to_json,
+        verify_closed_extremal,
+        verify_injections,
+        verify_kc_monotone,
+        verify_path_extremal,
+    )
+
     name = config.options["verify_command"]
     if name == "closed-extremal":
         report = verify_closed_extremal(config.options["max_n"], config.options["max_len"])
@@ -255,6 +261,10 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _cmd_counterexample(config: RunConfig) -> int:
+    import json
+
+    from .verify import build_counterexample
+
     try:
         result = build_counterexample(
             config.options["c"], config.options["k"], config.options["length"]
@@ -279,12 +289,16 @@ def _cmd_counterexample(config: RunConfig) -> int:
 
 
 def _cmd_broom_profile(config: RunConfig) -> int:
+    from .verify import broom_profile
+
     try:
         profile = broom_profile(config.options["n"], config.options["length"])
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if config.fmt == "json":
+        import json
+
         payload = {
             "n": profile.n,
             "len": profile.ell,
@@ -303,6 +317,8 @@ def _cmd_broom_profile(config: RunConfig) -> int:
 
 
 def _cmd_dc_reduce(config: RunConfig) -> int:
+    from .verify import dc_reduce
+
     t = _load_tree(config.options["tree"])
     reduced = dc_reduce(t, config.options["length"])
     sys.stdout.write(_emit_tree(reduced, config.fmt))

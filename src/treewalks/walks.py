@@ -11,7 +11,8 @@ vector over lengths 0..max_len; the ``count_*`` functions read one entry.
   where m_k counts k-edge matchings.  A rooted DP computes m_0..m_{L/2},
   and Newton's identities turn them into every power sum p_l = trace(A^l),
   l <= L.  Odd entries are 0 because trees are bipartite.
-- ``walk_profile``: 1^T A^l 1 by iterated exact vector multiply.
+- ``walk_profile``: 1^T A^l 1 from dot products of the iterates A^m 1,
+  which halves the exact vector multiplies.
 - ``path_profile``: pairs at each distance, by merging depth histograms of
   the children at every vertex (the pair's top vertex).
 
@@ -22,6 +23,7 @@ arbitrary-precision integers; there is no floating point anywhere here.
 from __future__ import annotations
 
 from collections import deque
+from operator import mul
 
 from .trees import Tree
 
@@ -142,15 +144,21 @@ def closed_walk_profile(t: Tree, max_len: int) -> list[int]:
 
 
 def walk_profile(t: Tree, max_len: int) -> list[int]:
-    """Walk counts 1^T A^l 1 for l = 0..max_len, by iterated exact vector
-    multiply."""
+    """Walk counts 1^T A^l 1 for l = 0..max_len.
+
+    With v_m = A^m 1 and A symmetric, w_{2m} = v_m . v_m and
+    w_{2m+1} = v_m . v_{m+1}, so ceil(max_len / 2) exact vector multiplies
+    give every entry; only v_m and v_{m+1} are kept."""
     _require_profile_length(max_len)
     adj = t.adjacency
     vec = [1] * t.n
     out = [t.n]
-    for _ in range(max_len):
-        vec = [sum([vec[u] for u in nbrs]) for nbrs in adj]
-        out.append(sum(vec))
+    while len(out) <= max_len:
+        nxt = [sum([vec[u] for u in nbrs]) for nbrs in adj]
+        out.append(sum(map(mul, vec, nxt)))
+        if len(out) <= max_len:
+            out.append(sum(map(mul, nxt, nxt)))
+        vec = nxt
     return out
 
 

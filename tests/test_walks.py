@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from treewalks.generate import (
     double_broom_paths,
     enumerate_free_trees,
+    from_pruefer,
     path_tree,
     star_tree,
 )
@@ -178,6 +181,16 @@ def walk_oracle(t, ell):
     return sum(sum(walks_from(t.adjacency, s, ell).values()) for s in range(t.n))
 
 
+def naive_walk_profile(t, max_len):
+    """1^T A^l 1 for l = 0..max_len, one vector multiply per length."""
+    vec = [1] * t.n
+    out = [t.n]
+    for _ in range(max_len):
+        vec = [sum(vec[u] for u in nbrs) for nbrs in t.adjacency]
+        out.append(sum(vec))
+    return out
+
+
 def path_oracle(t, max_len):
     """Unordered pairs at each distance, from all-pairs BFS distances."""
     out = [0] * (max_len + 1)
@@ -243,6 +256,16 @@ class TestWalkProfile:
     def test_rejects_negative_length(self, p4):
         with pytest.raises(ValueError):
             walk_profile(p4, -1)
+
+    def test_matches_iterated_multiply_on_large_trees(self):
+        # the kernel squares iterates A^m 1; every length up to 60, odd and
+        # even ends, against one multiply per length
+        rng = random.Random(7)
+        for n in (1, 2, 3, 57, 128, 200):
+            t = from_pruefer([rng.randrange(n) for _ in range(n - 2)], n) if n > 1 else path_tree(1)
+            oracle = naive_walk_profile(t, 60)
+            for max_len in range(61):
+                assert walk_profile(t, max_len) == oracle[: max_len + 1]
 
     @given(trees(min_n=1, max_n=40), st.integers(0, 16))
     @settings(deadline=None, max_examples=40)
