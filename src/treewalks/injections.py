@@ -14,10 +14,10 @@ from .words import (
     HOST_T,
     HOST_T2,
     WordType,
+    _decoded,
     _trace,
+    _word_type,
     build_context,
-    classify,
-    decode_word,
     f_map,
     g_even,
     g_odd,
@@ -62,9 +62,9 @@ def injection_rows(args) -> list:
 def _image_ok(ctx, word, image, require_closed):
     if len(image) != len(word):
         return False
-    if classify(image) is not classify(word):
+    if _word_type(ctx, image) is not _word_type(ctx, word):
         return False
-    walks = decode_word(ctx, image, HOST_T2)
+    walks = _decoded(ctx, image, HOST_T2)
     if not walks:
         return False
     if require_closed and not any(w[0] == w[-1] for w in walks):
@@ -72,54 +72,54 @@ def _image_ok(ctx, word, image, require_closed):
     return True
 
 
+# the types f_map takes without a closedness claim
+_F_OPEN_TYPES = (WordType.T0, WordType.T11, WordType.T12)
+
+
 def _check_f(ctx, tag, words, closed):
     rows = []
-    images = []
+    images = set()
     good = True
-    for word in sorted(closed):
+    for word in closed:
         image = f_map(ctx, word, closed=True)
         good = good and _image_ok(ctx, word, image, require_closed=True)
-        images.append(image)
+        images.add(image)
     rows.append(
         Check(
             f"{tag} f-closed-inject",
             len(closed),
-            len(set(images)),
+            len(images),
             "==",
-            good and len(set(images)) == len(closed),
+            good and len(images) == len(closed),
         )
     )
-    open_dom = sorted(
-        w
-        for w in words
-        if classify(w) in (WordType.T0, WordType.T11, WordType.T12)
-    )
-    images = []
+    open_dom = [w for w in words if _word_type(ctx, w) in _F_OPEN_TYPES]
+    images = set()
     good = True
     for word in open_dom:
         image = f_map(ctx, word, closed=False)
         good = good and _image_ok(ctx, word, image, require_closed=False)
-        images.append(image)
+        images.add(image)
     rows.append(
         Check(
             f"{tag} f-general-inject",
             len(open_dom),
-            len(set(images)),
+            len(images),
             "==",
-            good and len(set(images)) == len(open_dom),
+            good and len(images) == len(open_dom),
         )
     )
     return rows
 
 
 def _check_h(ctx, tag, words, t2_words):
-    images = []
+    images = set()
     good = True
-    for word in sorted(words):
+    for word in words:
         image = h_map(ctx, word)
         good = good and _image_ok(ctx, word, image, require_closed=False)
-        images.append(image)
-    distinct = len(set(images))
+        images.add(image)
+    distinct = len(images)
     row = Check(
         f"{tag} h-inject", len(words), distinct, "==", good and distinct == len(words)
     )
@@ -145,8 +145,8 @@ def _check_g(ctx, tag, ell, b_p0):
     rows = []
     p0, pk, p1 = ctx.p0, ctx.pk, ctx.path[1]
     if ctx.k % 2 == 0:
-        domain = sorted(w for w in b_p0 if _has_b(w))
-        images = []
+        domain = [w for w in b_p0 if _has_b(w)]
+        images = set()
         good = True
         for word in domain:
             image = g_even(ctx, word)
@@ -157,26 +157,26 @@ def _check_g(ctx, tag, ell, b_p0):
                 and g_even(ctx, image) == word
             )
             good = good and ok
-            images.append(image)
+            images.add(image)
         rows.append(
             Check(
                 f"{tag} g-even-involution",
                 len(domain),
-                len(set(images)),
+                len(images),
                 "==",
-                good and len(set(images)) == len(domain),
+                good and len(images) == len(domain),
             )
         )
     else:
         b_nbrs = ctx.b_neighbors_of_pk()
         if b_nbrs and ell >= 2:
             u = min(b_nbrs)
-            domain = sorted(
+            domain = [
                 w
                 for w in words_of(ctx, HOST_T, ell - 1, start=p1, part="B")
                 if _has_b(w)
-            )
-            images = []
+            ]
+            images = set()
             good = True
             for word in domain:
                 image = g_odd(ctx, word, u)
@@ -187,18 +187,18 @@ def _check_g(ctx, tag, ell, b_p0):
                     and g_odd(ctx, image, u) == word
                 )
                 good = good and ok
-                images.append(image)
+                images.add(image)
             rows.append(
                 Check(
                     f"{tag} g-odd-involution",
                     len(domain),
-                    len(set(images)),
+                    len(images),
                     "==",
-                    good and len(set(images)) == len(domain),
+                    good and len(images) == len(domain),
                 )
             )
-    domain = sorted(w for w in b_p0 if _has_b(w))
-    images = []
+    domain = [w for w in b_p0 if _has_b(w)]
+    images = set()
     good = True
     for word in domain:
         image = g_total(ctx, word)
@@ -208,14 +208,14 @@ def _check_g(ctx, tag, ell, b_p0):
             and _trace(ctx, image, p0, HOST_T2) is not None
         )
         good = good and ok
-        images.append(image)
+        images.add(image)
     rows.append(
         Check(
             f"{tag} g-total-inject",
             len(domain),
-            len(set(images)),
+            len(images),
             "==",
-            good and len(set(images)) == len(domain),
+            good and len(images) == len(domain),
         )
     )
     return rows

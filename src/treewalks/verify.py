@@ -4,33 +4,20 @@ multi-broom path-count optimization.
 
 Every reported relation is recomputed from exact integer counts; sweeps
 cache per-tree counts only inside a single run.
+
+Import rule: at module level this file imports only what the delete-clone
+reduction needs (``.transforms`` and ``.trees``).  The sweeps, the
+counterexample and the serializers import enumeration, the walk kernels,
+``json``, ``fractions`` and ``math`` when they run, so ``dc-reduce`` loads
+none of them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import sqrt
 
-from .generate import (
-    broom,
-    double_broom_walks,
-    enumerate_free_trees,
-    p_broom,
-    path_tree,
-    star_tree,
-)
 from .transforms import _kc_along, bare_paths, dc_transform, valency
 from .trees import Tree, canonical_code, distances_from, tree_path
-from .walks import (
-    closed_walk_profile,
-    count_closed_walks,
-    count_ell_paths,
-    count_walks,
-    walk_profile,
-    wiener,
-)
 
 __all__ = [
     "BroomProfile",
@@ -89,6 +76,8 @@ def report_to_csv(report: VerificationReport) -> str:
 
 
 def report_to_json(report: VerificationReport) -> str:
+    import json
+
     payload = {
         "scope": {k: str(v) for k, v in report.scope.items()},
         "ok": report.ok,
@@ -123,6 +112,9 @@ def verify_closed_extremal(max_n: int, max_len: int) -> VerificationReport:
     """For each n <= max_n and even length, the star must attain the
     maximum closed-walk count and the path the minimum, uniquely whenever
     the counts are not all equal."""
+    from .generate import enumerate_free_trees, path_tree, star_tree
+    from .walks import closed_walk_profile
+
     _require("max_n", max_n, 1)
     _require("max_len", max_len, 2)
     report = VerificationReport(scope={"max_n": max_n, "max_len": max_len})
@@ -155,17 +147,17 @@ def verify_closed_extremal(max_n: int, max_len: int) -> VerificationReport:
     return report.finalize()
 
 
-_KC_PROFILES = {"closed": closed_walk_profile, "all": walk_profile}
-
-
 def _kc_monotone_rows(args) -> list:
+    from .walks import closed_walk_profile, walk_profile
+
     t, index, max_len, kinds = args
+    profiles = {"closed": closed_walk_profile, "all": walk_profile}
     cache: dict[str, dict] = {}
 
     def vectors(tr: Tree) -> dict:
         code = canonical_code(tr)
         if code not in cache:
-            cache[code] = {kind: _KC_PROFILES[kind](tr, max_len)[1:] for kind in kinds}
+            cache[code] = {kind: profiles[kind](tr, max_len)[1:] for kind in kinds}
         return cache[code]
 
     rows = []
@@ -194,6 +186,8 @@ def verify_kc_monotone(
     """Counts of the given kind ('closed', 'all', or 'both') must never
     decrease under any single end-to-end path move, over every tree up to
     max_n and every bare path.  'both' checks the two kinds in one pass."""
+    from .generate import enumerate_free_trees
+
     if kind not in ("closed", "all", "both"):
         raise ValueError(f"kind must be 'closed', 'all' or 'both', got {kind!r}")
     _require("max_n", max_n, 2)
@@ -214,22 +208,31 @@ def verify_kc_monotone(
 # Injection suites
 
 
+INJECTION_SUITES = ("f", "g", "h", "lemmas")
+
+
 def verify_injections(
     max_n: int,
     max_len: int,
-    suites: tuple = ("f", "g", "h", "lemmas"),
+    suites: tuple = INJECTION_SUITES,
     workers: int = 1,
 ) -> VerificationReport:
     """Exhaustively check injectivity, validity, length- and
     type-preservation of the word maps over every context from trees up to
-    max_n, plus the endpoint-swap counting inequalities.  The per-tree
-    worker lives in ``injections``, which this imports only here, so the
-    other sweeps never load the word layer."""
+    max_n, plus the endpoint-swap counting inequalities.  ``suites`` picks
+    a nonempty subset of INJECTION_SUITES.  The per-tree worker lives in
+    ``injections``, which this imports only here, so the other sweeps never
+    load the word layer."""
+    from .generate import enumerate_free_trees
     from .injections import injection_rows
 
     _require("max_n", max_n, 2)
     _require("max_len", max_len, 1)
     _require("workers", workers, 1)
+    if not suites or not set(suites) <= set(INJECTION_SUITES):
+        raise ValueError(
+            f"suites must be a nonempty subset of {INJECTION_SUITES}, got {suites!r}"
+        )
     report = VerificationReport(
         scope={"max_n": max_n, "max_len": max_len, "suites": ",".join(suites)}
     )
@@ -276,6 +279,11 @@ def build_counterexample(c, k: int, ell: int) -> CounterexampleResult:
 
     c is taken as an exact rational; ck, (2-c)k and k/2 must be integers.
     """
+    from fractions import Fraction
+
+    from .generate import broom, double_broom_walks
+    from .walks import count_closed_walks, count_walks, wiener
+
     c = Fraction(c)
     if ell < 2:
         raise ValueError("ell must be >= 2")
@@ -309,6 +317,9 @@ def verify_path_extremal(max_n: int, ell: int) -> VerificationReport:
     """For each n <= max_n the maximum count of length-ell paths over all
     trees must equal the best multi-broom value (even ell) or the balanced
     double-broom formula (odd ell)."""
+    from .generate import enumerate_free_trees, p_broom
+    from .walks import count_ell_paths
+
     if ell < 2:
         raise ValueError("ell must be >= 2")
     _require("max_n", max_n, 1)
@@ -377,6 +388,8 @@ class BroomProfile:
 
 def _stationary_sign(r: Fraction, m) -> int:
     """Sign of (1/4 + sqrt(r)) - m, decided exactly (r >= 0)."""
+    from fractions import Fraction
+
     d = m - Fraction(1, 4)
     if d < 0:
         return 1
@@ -391,6 +404,9 @@ def broom_profile(n: int, ell: int) -> BroomProfile:
     (the smaller on a tie).  The integer argmax always lies within 1 of the
     stationary point; a drift raises ValueError.  Both decisions compare
     squared rationals exactly; the float ``p_opt`` is for display only."""
+    from fractions import Fraction
+    from math import sqrt
+
     if ell < 4 or ell % 2 != 0:
         raise ValueError("broom profile needs even ell >= 4")
     half = (ell - 2) // 2

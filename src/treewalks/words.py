@@ -37,12 +37,15 @@ The maps:
   type-preserving injection on all T-words.
 
 A PathContext memoizes the walks each (word, host) decodes to, each
-f-image, and the labeled side adjacency of each (host, part).  The memos
-live exactly as long as their context (a sweep builds one context per tree
-and bare path and drops it after the last length), and they sit under the
-validations, never in place of them: f_map, f_inverse and h_map still
-check that their input decodes and that its type is in the domain before
-a memoized result is returned, and decode_word hands out a fresh list.
+word's type, each f-image, and the labeled side adjacency of each (host,
+part).  word_sets fills the decode memo and the type table as it grows
+the walks; a word it has not seen is classified on demand and not stored.
+The memos live exactly as long as their context (a sweep builds one
+context per tree and bare path and drops it after the last length), and
+they sit under the validations, never in place of them: f_map, f_inverse
+and h_map still check that their input decodes and that its type is in
+the domain before a memoized result is returned, and decode_word hands
+out a fresh list.
 """
 
 from __future__ import annotations
@@ -120,6 +123,7 @@ class PathContext:
     _label_edge_t2: dict = field(repr=False)
     # memos, see the module docstring
     _walks: dict = field(default_factory=dict, repr=False)  # (word, host) -> walks
+    _types: dict = field(default_factory=dict, repr=False)  # word -> WordType
     _f_images: dict = field(default_factory=dict, repr=False)  # T-word -> f-image
     _adjacency: dict = field(default_factory=dict, repr=False)  # (host, part) -> lists
 
@@ -358,6 +362,32 @@ def classify(word: Word) -> WordType:
     return WordType.T12 if last == "b" else WordType.T22
 
 
+def _word_type(ctx: PathContext, word: Word) -> WordType:
+    """classify(word), read from the context's type table when word_sets
+    has filled it."""
+    wtype = ctx._types.get(word)
+    return wtype if wtype is not None else classify(word)
+
+
+# A word's first and last non-c kinds as one string ("" while it has
+# none), the same after one more letter of each kind, and the type they
+# name.  Keys are strings because Enum members hash in Python.
+_KINDS_AFTER = {
+    "": {"a": "aa", "b": "bb", "c": ""},
+    "aa": {"a": "aa", "b": "ab", "c": "aa"},
+    "ab": {"a": "aa", "b": "ab", "c": "ab"},
+    "bb": {"a": "ba", "b": "bb", "c": "bb"},
+    "ba": {"a": "ba", "b": "bb", "c": "ba"},
+}
+_TYPE_OF_KINDS = {
+    "": WordType.T0,
+    "aa": WordType.T11,
+    "bb": WordType.T12,
+    "ab": WordType.T21,
+    "ba": WordType.T22,
+}
+
+
 def conjugate(ctx: PathContext, word: Word) -> Word:
     """The involution c_i -> c_(k+1-i); a- and b-letters are unchanged.
     It identifies B-side words of the original tree with those of the
@@ -524,21 +554,25 @@ def word_sets(
     among them that encode a closed walk, from one labeled walk enumeration
     out of every start vertex that grows all walks by one letter per level.
     The walks found for each nonempty word go into the context's decode
-    memo, so decode_word on these words is a lookup."""
+    memo, so decode_word on these words is a lookup.  Each walk carries its
+    word's first and last non-c kinds, so the word's type goes into the
+    context's type table at the cost of one lookup per letter."""
     adj = _side_adjacency(ctx, host, None)
-    walks = [((v,), ()) for v in range(len(adj))]  # (positions, word)
+    after = _KINDS_AFTER
+    walks = [((v,), (), "") for v in range(len(adj))]  # (positions, word, kinds)
     sets = [({()}, {()})]
     for _ in range(max_len):
         walks = [
-            (positions + (u,), word + (letter,))
-            for positions, word in walks
+            (positions + (u,), word + (letter,), after[kinds][letter[0]])
+            for positions, word, kinds in walks
             for u, letter in adj[positions[-1]]
         ]
         # walks stay sorted by start vertex, the order decode_word uses
         decoded: dict[Word, tuple[Walk, ...]] = {}
-        for positions, word in walks:
+        for positions, word, _kinds in walks:
             decoded[word] = decoded.get(word, ()) + (positions,)
         ctx._walks.update(((word, host), found) for word, found in decoded.items())
+        ctx._types.update((word, _TYPE_OF_KINDS[kinds]) for _p, word, kinds in walks)
         closed = {w for w, found in decoded.items() if any(p[0] == p[-1] for p in found)}
         sets.append((set(decoded), closed))
     return sets
@@ -564,14 +598,21 @@ def f_map(ctx: PathContext, word: Word, closed: bool = False) -> Word:
         raise ValueError("cannot map an empty word")
     if not _decoded(ctx, word, HOST_T):
         raise ValueError("word is not valid in the original tree")
-    wtype = classify(word)
-    if wtype is WordType.T0:
-        return word
+    wtype = _word_type(ctx, word)
     if wtype in (WordType.T21, WordType.T22) and not closed:
         raise ValueError(f"type {wtype.value} words are only mapped when closed")
+    return _f_image(ctx, word, wtype)
+
+
+def _f_image(ctx: PathContext, word: Word, wtype: WordType) -> Word:
+    """The f-image of a T-word of type wtype that its caller has validated,
+    memoized on the context."""
+    if wtype is WordType.T0:
+        return word
     image = ctx._f_images.get(word)
     if image is None:
-        surgery = _f_a_first if wtype in (WordType.T11, WordType.T21) else _f_b_first
+        a_first = wtype is WordType.T11 or wtype is WordType.T21
+        surgery = _f_a_first if a_first else _f_b_first
         image = ctx._f_images[word] = surgery(ctx, word)
     return image
 
@@ -634,7 +675,7 @@ def f_inverse(ctx: PathContext, word: Word, closed: bool = False) -> Word:
         raise ValueError("cannot map an empty word")
     if not _decoded(ctx, word, HOST_T2):
         raise ValueError("word is not valid in the transformed tree")
-    wtype = classify(word)
+    wtype = _word_type(ctx, word)
     if wtype is WordType.T0:
         return word
     if wtype in (WordType.T21, WordType.T22) and not closed:
@@ -805,7 +846,7 @@ def g_total_aside(ctx: PathContext, word: Word) -> Word:
 def h_map(ctx: PathContext, word: Word) -> Word:
     """Length- and type-preserving injection from all T-words into T'-words.
 
-    Types T0/T11/T12 delegate to f_map.  T21 splits before the last
+    Types T0/T11/T12 take their f-image.  T21 splits before the last
     separating C-run into a T11 prefix (mapped by f) and a p_0-rooted
     B-side suffix (mapped by g_total); T22 is the mirror with the A-side.
     """
@@ -813,9 +854,9 @@ def h_map(ctx: PathContext, word: Word) -> Word:
         raise ValueError("cannot map an empty word")
     if not _decoded(ctx, word, HOST_T):
         raise ValueError("word is not valid in the original tree")
-    wtype = classify(word)
-    if wtype in (WordType.T0, WordType.T11, WordType.T12):
-        return f_map(ctx, word, closed=False)
+    wtype = _word_type(ctx, word)
+    if wtype is not WordType.T21 and wtype is not WordType.T22:
+        return _f_image(ctx, word, wtype)
     seq = block_decompose(word)
     blocks = seq.blocks
     split_at = max(

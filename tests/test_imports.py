@@ -106,6 +106,12 @@ class TestImportFootprint:
         assert "treewalks.words" not in after
         assert "treewalks.injections" not in after
 
+    def test_dc_reduce_loads_no_enumeration_or_kernels(self, tree_file):
+        _, after, code = _loaded_by(["dc-reduce", "--len", "4", "--tree", tree_file])
+        assert code == 0
+        assert "treewalks.generate" not in after
+        assert "treewalks.walks" not in after
+
     def test_injection_sweep_loads_the_word_layer(self):
         _, after, code = _loaded_by(["verify", "injections", "--max-n", "4", "--max-len", "2"])
         assert code == 0

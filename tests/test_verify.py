@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from treewalks import transforms, trees, verify
+from treewalks import transforms, trees, verify, words
 from treewalks.generate import from_pruefer
 from treewalks.transforms import dc_transform, valency
 from treewalks.trees import distance, tree_path
@@ -189,6 +189,58 @@ class TestDcReduce:
     def test_rejects_short_length(self):
         with pytest.raises(ValueError, match="ell >= 3"):
             dc_reduce_trace(from_pruefer(PRUEFER_36, 36), 2)
+
+
+# ---------------------------------------------------------------------------
+# Injection suites: each one adds its own check names, and a subset run is
+# the full run with the other suites' rows left out
+
+SUITE_CHECKS = {
+    "f": {"f-closed-inject", "f-general-inject"},
+    "g": {"g-even-involution", "g-odd-involution", "g-total-inject"},
+    "h": {"h-inject", "word-count-monotone"},
+    "lemmas": {"lemma-even", "lemma-odd", "corollary-total"},
+}
+
+
+def _check_name(check):
+    return check.instance.rsplit(" ", 1)[1]
+
+
+@pytest.fixture(scope="module")
+def full_injections():
+    return verify_injections(6, 4)
+
+
+class TestInjectionSuites:
+    @pytest.mark.parametrize("suites", [("F",), ()], ids=["unknown", "empty"])
+    def test_rejects_unknown_or_empty(self, suites):
+        with pytest.raises(ValueError, match="suites must be a nonempty subset"):
+            verify_injections(4, 2, suites=suites)
+
+    def test_full_run_has_every_suite_check(self, full_injections):
+        names = {_check_name(c) for c in full_injections.checks}
+        assert names == set().union(*SUITE_CHECKS.values())
+
+    @pytest.mark.parametrize(
+        "suites", [("f",), ("g",), ("h",), ("lemmas",), ("f", "g")], ids=",".join
+    )
+    def test_subset_is_full_run_filtered(self, suites, full_injections):
+        names = set().union(*(SUITE_CHECKS[s] for s in suites))
+        expect = [c for c in full_injections.checks if _check_name(c) in names]
+        assert expect
+        assert verify_injections(6, 4, suites=suites).checks == expect
+
+    def test_type_table_serves_the_full_run(self, monkeypatch):
+        # with the h suite the sweep types every domain word and image from
+        # the word sets; without it the images of f fall back to classify
+        calls = []
+        real = words.classify
+        monkeypatch.setattr(words, "classify", lambda word: calls.append(word) or real(word))
+        verify_injections(5, 3)
+        assert calls == []
+        verify_injections(5, 3, suites=("f", "g"))
+        assert calls
 
 
 # ---------------------------------------------------------------------------

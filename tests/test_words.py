@@ -182,6 +182,60 @@ class TestWordSets:
         assert word_sets(k1, HOST_T, 0) == [({()}, {()})]
 
 
+class TestTypeTable:
+    def test_entries_match_classify(self):
+        # oracle: the pure classify; the table holds every nonempty word of
+        # both hosts and nothing else
+        for ctx in all_contexts(6):
+            seen = set()
+            for host in (HOST_T, HOST_T2):
+                for words, _closed in word_sets(ctx, host, 5)[1:]:
+                    seen |= words
+            assert set(ctx._types) == seen
+            for word, wtype in ctx._types.items():
+                assert wtype is classify(word)
+
+
+class TestMemosUnderValidation:
+    def test_open_type2_rejected_after_typing(self, k1):
+        word = parse_word("a1 c1 b1")
+        word_sets(k1, HOST_T, 3)
+        assert k1._types[word] is WordType.T21
+        with pytest.raises(ValueError, match="only mapped when closed"):
+            f_map(k1, word, closed=False)
+
+    def test_open_type2_inverse_rejected_after_typing(self, k1):
+        # a1 b1 walks 0-1-3 in the transform, open and of type T21
+        word = parse_word("a1 b1")
+        word_sets(k1, HOST_T2, 2)
+        assert k1._types[word] is WordType.T21
+        with pytest.raises(ValueError, match="only mapped when closed"):
+            f_inverse(k1, word, closed=False)
+
+    @pytest.mark.parametrize("text", ["a1 c1 a1", "b1 a1 a1 b1"])
+    def test_words_that_do_not_decode_in_t_are_rejected(self, k1, text):
+        # b1 a1 a1 b1 decodes only in the transform, so word_sets on T'
+        # types it as T12, a type f and h take without a closedness claim
+        word = parse_word(text)
+        for host in (HOST_T, HOST_T2):
+            word_sets(k1, host, 4)
+        assert not decode_word(k1, word, HOST_T)
+        assert (word in k1._types) == bool(decode_word(k1, word, HOST_T2))
+        for mapping in (f_map, h_map):
+            with pytest.raises(ValueError, match="not valid in the original tree"):
+                mapping(k1, word)
+
+    def test_h_map_on_typed_words_matches_fresh_f_map(self):
+        # h takes its f-images from the memoized surgery; a fresh context
+        # computes them from scratch through f_map
+        for ctx in all_contexts(6):
+            fresh = build_context(ctx.tree, ctx.p0, ctx.pk)
+            for words, _closed in word_sets(ctx, HOST_T, 4)[1:]:
+                for word in words:
+                    if classify(word) in (WordType.T0, WordType.T11, WordType.T12):
+                        assert h_map(ctx, word) == f_map(fresh, word, closed=False)
+
+
 class TestGrammar:
     def test_blocks_example(self):
         seq = block_decompose(parse_word("a1 c1 b1 b1 c1 a1"))
