@@ -307,3 +307,69 @@ def test_empty_scope_exits_two(argv, message, capsys):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# Violation goldens: no golden scope above contains a failing check, so these
+# break the library on purpose and pin how failures are written (the JSON
+# violations list, the CSV passed=0 rows and the summary's violations column).
+# Recorded before check records carried typed fields.
+
+
+def _path_profiles_bumped(monkeypatch):
+    from treewalks import walks
+
+    real = walks.closed_walk_profile
+
+    def profile(t, max_len):
+        values = real(t, max_len)
+        if t.n >= 4 and all(t.degree(v) <= 2 for v in range(t.n)):
+            return [v + 2 for v in values]
+        return values
+
+    monkeypatch.setattr(walks, "closed_walk_profile", profile)
+
+
+def _g_total_broken(monkeypatch):
+    from treewalks import injections
+
+    monkeypatch.setattr(injections, "g_total", lambda ctx, word: (("b", 1),) * len(word))
+
+
+GOLDEN_VIOLATIONS = [
+    (
+        _path_profiles_bumped,
+        ["verify", "closed-extremal", "--max-n", "6", "--max-len", "6"],
+        "b20e3b8da99c54f7ce023fd728b9ddaad4c2f60c54bd77e67d79fadf655e1c13",
+    ),
+    (
+        _path_profiles_bumped,
+        ["verify", "closed-extremal", "--max-n", "6", "--max-len", "6", "--format", "json"],
+        "21dad64249ad48ea000c4988901678976eb92a21d851cf52e46de0bef0d9d504",
+    ),
+    (
+        _g_total_broken,
+        ["verify", "injections", "--max-n", "5", "--max-len", "3"],
+        "83f7343e4da27b5e810806a7c10b256ae3381e5f706705e47a1da889d3b879fe",
+    ),
+    (
+        _g_total_broken,
+        ["verify", "injections", "--max-n", "5", "--max-len", "3", "--format", "json"],
+        "772d1c50fd3f0de5d0ac200b7165a60b31c7de65f993283bb54b474a331559d0",
+    ),
+    (
+        _g_total_broken,
+        ["words", "verify", "--max-n", "5", "--max-len", "3"],
+        "77c9e94a856d12a48fd2064f0a9ebdb28ac6f103e2e95cf9cbeff6d5f93d545c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "patch,argv,digest", GOLDEN_VIOLATIONS, ids=[" ".join(a) for _, a, _ in GOLDEN_VIOLATIONS]
+)
+def test_golden_violations(patch, argv, digest, monkeypatch, capsys):
+    patch(monkeypatch)
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (1, "")
+    assert sha256(out) == digest
