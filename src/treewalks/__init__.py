@@ -14,13 +14,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "generate": (
-        "FamilySpec",
         "broom",
         "double_broom_paths",
         "double_broom_walks",
         "enumerate_free_trees",
         "from_pruefer",
-        "make_family",
         "p_broom",
         "path_tree",
         "star_tree",

@@ -1,10 +1,28 @@
-"""Command-line frontend.  Thin adapters only: parsing, dispatch, and
-serialization; all counting and transformation logic lives in the library
-modules.
+"""Command-line frontend.  Thin adapters only: parsing, one handler per
+subcommand, and serialization; all counting and transformation logic lives
+in the library modules.
+
+Subcommands:
+
+- ``enumerate --n N``: every free tree of order N (edgelist, pruefer or dot).
+- ``count --kind closed|all|paths|wiener [--len L] FILE...``: exact counts.
+- ``kc --tree FILE (--x X --y Y | --list-moves)``: the end-to-end path move.
+- ``verify closed-extremal|kc-monotone|injections|path-extremal``: the
+  exhaustive sweeps, one CSV row per check (``instance,lhs,rhs,relation,
+  passed``) or a JSON summary with the violations.  ``verify injections
+  --format summary`` prints one row per (tree, bare path, length) instead:
+  ``tree,path,len,domain,image,violations``, where tree is ``n/index``,
+  domain and image are the sizes of the h-map's domain and image, and
+  violations counts the failed checks there.
+- ``counterexample --c C --k K --len L``: distance sum up, walk counts up.
+- ``broom-profile --n N --len L``: path counts across leg counts.
+- ``dc-reduce --tree FILE --len L``: the greedy delete-clone reduction.
+
+Each subparser sets ``handler``, the ``_cmd_*`` function that ``main`` runs
+on the parsed namespace.
 
 Import rule: at module level this file imports only what parsing and
-``_load_tree`` need (``argparse``, ``sys``, ``dataclasses`` and
-``.trees``).  Each ``_cmd_*`` handler imports the library functions it
+``_load_tree`` need (``argparse``, ``sys`` and ``.trees``).  Each ``_cmd_*`` handler imports the library functions it
 calls when it runs, so a process compiles and loads only the modules of
 its own subcommand: ``count`` never loads ``verify`` or ``words``.
 
@@ -16,21 +34,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .trees import Tree, format_tree_text, parse_tree_text, to_dot
 
-__all__ = ["RunConfig", "dispatch", "main", "parse_rational"]
-
-
-@dataclass
-class RunConfig:
-    """A parsed command with its flags."""
-
-    command: str
-    options: dict
-    fmt: str = "csv"
-    workers: int = 1
+__all__ = ["main", "parse_rational"]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -78,11 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list all trees of one order up to isomorphism")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["edgelist", "pruefer", "dot"], default="edgelist")
+    p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("count", help="count walks, paths, or the distance sum")
     p.add_argument("--kind", choices=["closed", "all", "paths", "wiener"], required=True)
     p.add_argument("--len", type=int, dest="length", default=None)
     p.add_argument("files", nargs="+")
+    p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("kc", help="apply the end-to-end path move")
     p.add_argument("--tree", required=True)
@@ -90,13 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=int)
     p.add_argument("--list-moves", action="store_true")
     p.add_argument("--format", choices=["edgelist", "dot"], default="edgelist")
-
-    words = sub.add_parser("words", help="word-map verification")
-    wsub = words.add_subparsers(dest="words_command", required=True)
-    p = wsub.add_parser("verify", help="run the full injection suite")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.set_defaults(handler=_cmd_kc)
 
     ver = sub.add_parser("verify", help="exhaustive extremal sweeps")
     vsub = ver.add_subparsers(dest="verify_command", required=True)
@@ -104,56 +107,55 @@ def build_parser() -> argparse.ArgumentParser:
         p = vsub.add_parser(name)
         p.add_argument("--max-n", type=int, required=True)
         p.add_argument("--max-len", type=int, required=True)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        formats = ["csv", "json", "summary"] if name == "injections" else ["csv", "json"]
+        p.add_argument("--format", choices=formats, default="csv")
         if name != "closed-extremal":
             p.add_argument("--workers", type=int, default=1)
         if name == "kc-monotone":
             p.add_argument("--kind", choices=["closed", "all", "both"], default="both")
+        p.set_defaults(handler=_cmd_verify)
     p = vsub.add_parser("path-extremal")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--len", type=int, dest="length", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("counterexample", help="distance sum up, walk counts up")
     p.add_argument("--c", type=parse_rational, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--len", type=int, dest="length", required=True)
+    p.set_defaults(handler=_cmd_counterexample)
 
     p = sub.add_parser("broom-profile", help="path counts across leg counts")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--len", type=int, dest="length", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.set_defaults(handler=_cmd_broom_profile)
 
     p = sub.add_parser("dc-reduce", help="greedy delete-clone reduction")
     p.add_argument("--tree", required=True)
     p.add_argument("--len", type=int, dest="length", required=True)
     p.add_argument("--format", choices=["edgelist", "dot"], default="edgelist")
+    p.set_defaults(handler=_cmd_dc_reduce)
 
     return parser
 
 
-def dispatch(config: RunConfig) -> int:
-    """Run one parsed command; returns the process exit code."""
-    handler = _HANDLERS[config.command]
-    return handler(config)
-
-
-def _cmd_enumerate(config: RunConfig) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> int:
     from .generate import enumerate_free_trees
 
     out = []
-    for t in enumerate_free_trees(config.options["n"]):
-        out.append(_emit_tree(t, config.fmt))
+    for t in enumerate_free_trees(args.n):
+        out.append(_emit_tree(t, args.format))
     sys.stdout.write("".join(out))
     return 0
 
 
-def _cmd_count(config: RunConfig) -> int:
+def _cmd_count(args: argparse.Namespace) -> int:
     from .walks import count_closed_walks, count_ell_paths, count_walks, wiener
 
-    kind = config.options["kind"]
-    length = config.options["length"]
-    if kind != "wiener" and (length is None or length < 1):
+    length = args.length
+    if args.kind != "wiener" and (length is None or length < 1):
         sys.stderr.write("error: --len is required and must be >= 1\n")
         return 2
     counters = {
@@ -162,8 +164,7 @@ def _cmd_count(config: RunConfig) -> int:
         "paths": lambda t: count_ell_paths(t, length),
         "wiener": wiener,
     }
-    files = config.options["files"]
-    values = [(path, counters[kind](_load_tree(path))) for path in files]
+    values = [(path, counters[args.kind](_load_tree(path))) for path in args.files]
     if len(values) == 1:
         sys.stdout.write(f"{values[0][1]}\n")
     else:
@@ -173,21 +174,21 @@ def _cmd_count(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_kc(config: RunConfig) -> int:
+def _cmd_kc(args: argparse.Namespace) -> int:
     from .transforms import kc_moves, kc_transform
 
-    t = _load_tree(config.options["tree"])
-    if config.options["list_moves"]:
+    t = _load_tree(args.tree)
+    if args.list_moves:
         for code in sorted(kc_moves(t)):
             sys.stdout.write(code + "\n")
         return 0
-    x, y = config.options["x"], config.options["y"]
+    x, y = args.x, args.y
     if x is None or y is None:
         sys.stderr.write("error: kc needs --x and --y (or --list-moves)\n")
         return 2
     moved = kc_transform(t, x, y)
     labels = None
-    if config.fmt == "dot":
+    if args.format == "dot":
         from .words import build_context, word_to_str
 
         ctx = build_context(t, x, y)
@@ -195,80 +196,44 @@ def _cmd_kc(config: RunConfig) -> int:
             edge: word_to_str([letter])
             for edge, letter in ctx.labeling_transformed.items()
         }
-    sys.stdout.write(_emit_tree(moved, config.fmt, labels=labels))
+    sys.stdout.write(_emit_tree(moved, args.format, labels=labels))
     return 0
 
 
-def _cmd_words_verify(config: RunConfig) -> int:
-    from .verify import verify_injections
-
-    report = verify_injections(
-        config.options["max_n"], config.options["max_len"], workers=config.workers
-    )
-    by_cell: dict[str, dict] = {}
-    for check in report.checks:
-        cell, name = check.instance.rsplit(" ", 1)
-        row = by_cell.setdefault(
-            cell, {"domain": 0, "image": 0, "violations": 0}
-        )
-        if name == "h-inject":
-            row["domain"] = check.lhs
-            row["image"] = check.rhs
-        if not check.passed:
-            row["violations"] += 1
-    sys.stdout.write("tree,path,len,domain,image,violations\n")
-    for cell in sorted(by_cell):
-        parts = dict(p.split("=") for p in cell.split())
-        row = by_cell[cell]
-        sys.stdout.write(
-            f"{parts['n']}/{parts['t']},{parts['path']},{int(parts['len'])},"
-            f"{row['domain']},{row['image']},{row['violations']}\n"
-        )
-    return 0 if report.ok else 1
-
-
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import (
         report_to_csv,
         report_to_json,
+        report_to_summary,
         verify_closed_extremal,
         verify_injections,
         verify_kc_monotone,
         verify_path_extremal,
     )
 
-    name = config.options["verify_command"]
+    name = args.verify_command
     if name == "closed-extremal":
-        report = verify_closed_extremal(config.options["max_n"], config.options["max_len"])
+        report = verify_closed_extremal(args.max_n, args.max_len)
     elif name == "kc-monotone":
         report = verify_kc_monotone(
-            config.options["max_n"],
-            config.options["max_len"],
-            kind=config.options["kind"],
-            workers=config.workers,
+            args.max_n, args.max_len, kind=args.kind, workers=args.workers
         )
     elif name == "injections":
-        report = verify_injections(
-            config.options["max_n"], config.options["max_len"], workers=config.workers
-        )
+        report = verify_injections(args.max_n, args.max_len, workers=args.workers)
     else:
-        report = verify_path_extremal(
-            config.options["max_n"], config.options["length"]
-        )
-    writer = report_to_csv if config.fmt == "csv" else report_to_json
-    sys.stdout.write(writer(report))
+        report = verify_path_extremal(args.max_n, args.length)
+    writers = {"csv": report_to_csv, "json": report_to_json, "summary": report_to_summary}
+    sys.stdout.write(writers[args.format](report))
     return 0 if report.ok else 1
 
 
-def _cmd_counterexample(config: RunConfig) -> int:
+def _cmd_counterexample(args: argparse.Namespace) -> int:
     import json
 
     from .verify import build_counterexample
 
     try:
-        result = build_counterexample(
-            config.options["c"], config.options["k"], config.options["length"]
-        )
+        result = build_counterexample(args.c, args.k, args.length)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -288,15 +253,15 @@ def _cmd_counterexample(config: RunConfig) -> int:
     return 0 if result.verdict else 1
 
 
-def _cmd_broom_profile(config: RunConfig) -> int:
+def _cmd_broom_profile(args: argparse.Namespace) -> int:
     from .verify import broom_profile
 
     try:
-        profile = broom_profile(config.options["n"], config.options["length"])
+        profile = broom_profile(args.n, args.length)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if config.fmt == "json":
+    if args.format == "json":
         import json
 
         payload = {
@@ -316,43 +281,20 @@ def _cmd_broom_profile(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_dc_reduce(config: RunConfig) -> int:
+def _cmd_dc_reduce(args: argparse.Namespace) -> int:
     from .verify import dc_reduce
 
-    t = _load_tree(config.options["tree"])
-    reduced = dc_reduce(t, config.options["length"])
-    sys.stdout.write(_emit_tree(reduced, config.fmt))
+    t = _load_tree(args.tree)
+    reduced = dc_reduce(t, args.length)
+    sys.stdout.write(_emit_tree(reduced, args.format))
     return 0
 
 
-_HANDLERS = {
-    "enumerate": _cmd_enumerate,
-    "count": _cmd_count,
-    "kc": _cmd_kc,
-    "words": _cmd_words_verify,
-    "verify": _cmd_verify,
-    "counterexample": _cmd_counterexample,
-    "broom-profile": _cmd_broom_profile,
-    "dc-reduce": _cmd_dc_reduce,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    options = vars(args)
-    config = RunConfig(
-        command=options.pop("command"),
-        fmt=options.pop("format", "csv"),
-        workers=options.pop("workers", 1),
-        options=options,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        return dispatch(config)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+        return args.handler(args)
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

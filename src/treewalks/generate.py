@@ -4,15 +4,13 @@ and the named parametric families (paths, stars, brooms and relatives).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .trees import Tree, canonical_code, tree
 
 __all__ = [
-    "FamilySpec",
     "MAX_FREE_TREE_N",
     "all_labeled_trees",
     "broom",
@@ -20,7 +18,6 @@ __all__ = [
     "double_broom_walks",
     "enumerate_free_trees",
     "from_pruefer",
-    "make_family",
     "p_broom",
     "path_tree",
     "star_tree",
@@ -253,36 +250,3 @@ def p_broom(n: int, ell: int, p: int) -> Tree:
             edges.append((prev, nxt))
             nxt += 1
     return tree(nxt, edges)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parametric description of a named tree family.
-
-    kind is one of: path, star, broom, double_broom_walks,
-    double_broom_paths, p_broom.  Parameters are kind-specific integers.
-    """
-
-    kind: str
-    params: Mapping  # str -> int
-
-
-_FAMILY_BUILDERS = {
-    "path": lambda p: path_tree(p["n"]),
-    "star": lambda p: star_tree(p["n"]),
-    "broom": lambda p: broom(p["path_length"], p["leaves"]),
-    "double_broom_walks": lambda p: double_broom_walks(p["k"]),
-    "double_broom_paths": lambda p: double_broom_paths(p["n"], p["ell"]),
-    "p_broom": lambda p: p_broom(p["n"], p["ell"], p["p"]),
-}
-
-
-def make_family(spec: FamilySpec) -> Tree:
-    try:
-        builder = _FAMILY_BUILDERS[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown family kind {spec.kind!r}") from None
-    try:
-        return builder(dict(spec.params))
-    except KeyError as exc:
-        raise ValueError(f"family {spec.kind!r} missing parameter {exc}") from None

@@ -8,6 +8,8 @@ apart from ``verify`` and is imported only when the injection sweep runs.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .transforms import bare_paths
 from .verify import Check
 from .words import (
@@ -32,30 +34,24 @@ __all__ = ["injection_rows"]
 
 def injection_rows(args) -> list:
     """The checks of one tree: every bare path's context, every length up to
-    max_len, the selected suites.  ``args`` is one picklable job tuple
-    (tree, index among its order, max_len, suites)."""
-    t, index, max_len, suites = args
+    max_len, the f, g and h maps and the lemmas.  ``args`` is one picklable
+    job tuple (tree, index among its order, max_len)."""
+    t, index, max_len = args
     rows = []
     for bp in bare_paths(t):
         ctx = build_context(t, *bp.endpoints)
         t_sets = word_sets(ctx, HOST_T, max_len)
-        t2_sets = word_sets(ctx, HOST_T2, max_len) if "h" in suites else None
-        pid = "-".join(map(str, bp.vertices))
-        base = f"n={t.n:02d} t={index:03d} path={pid}"
+        t2_sets = word_sets(ctx, HOST_T2, max_len)
         for ell in range(1, max_len + 1):
-            tag = f"{base} len={ell:02d}"
+            # check(name, lhs, rhs, relation, passed) at this path and length
+            check = partial(Check, t.n, ell, tree=index, path=bp.vertices)
             words, closed = t_sets[ell]
-            if "f" in suites:
-                rows.extend(_check_f(ctx, tag, words, closed))
-            if "h" in suites:
-                rows.extend(_check_h(ctx, tag, words, t2_sets[ell][0]))
-            if "g" in suites or "lemmas" in suites:
-                # the B-side T-words from p0, shared by both suites
-                b_p0 = words_of(ctx, HOST_T, ell, start=ctx.p0, part="B")
-            if "g" in suites:
-                rows.extend(_check_g(ctx, tag, ell, b_p0))
-            if "lemmas" in suites:
-                rows.extend(_check_lemmas(ctx, tag, ell, b_p0))
+            # the B-side T-words from p0, shared by the g maps and the lemmas
+            b_p0 = words_of(ctx, HOST_T, ell, start=ctx.p0, part="B")
+            rows.extend(_check_f(ctx, check, words, closed))
+            rows.extend(_check_h(ctx, check, words, t2_sets[ell][0]))
+            rows.extend(_check_g(ctx, check, ell, b_p0))
+            rows.extend(_check_lemmas(ctx, check, ell, b_p0))
     return rows
 
 
@@ -76,7 +72,7 @@ def _image_ok(ctx, word, image, require_closed):
 _F_OPEN_TYPES = (WordType.T0, WordType.T11, WordType.T12)
 
 
-def _check_f(ctx, tag, words, closed):
+def _check_f(ctx, check, words, closed):
     rows = []
     images = set()
     good = True
@@ -85,8 +81,8 @@ def _check_f(ctx, tag, words, closed):
         good = good and _image_ok(ctx, word, image, require_closed=True)
         images.add(image)
     rows.append(
-        Check(
-            f"{tag} f-closed-inject",
+        check(
+            "f-closed-inject",
             len(closed),
             len(images),
             "==",
@@ -101,8 +97,8 @@ def _check_f(ctx, tag, words, closed):
         good = good and _image_ok(ctx, word, image, require_closed=False)
         images.add(image)
     rows.append(
-        Check(
-            f"{tag} f-general-inject",
+        check(
+            "f-general-inject",
             len(open_dom),
             len(images),
             "==",
@@ -112,7 +108,7 @@ def _check_f(ctx, tag, words, closed):
     return rows
 
 
-def _check_h(ctx, tag, words, t2_words):
+def _check_h(ctx, check, words, t2_words):
     images = set()
     good = True
     for word in words:
@@ -120,14 +116,14 @@ def _check_h(ctx, tag, words, t2_words):
         good = good and _image_ok(ctx, word, image, require_closed=False)
         images.add(image)
     distinct = len(images)
-    row = Check(
-        f"{tag} h-inject", len(words), distinct, "==", good and distinct == len(words)
+    row = check(
+        "h-inject", len(words), distinct, "==", good and distinct == len(words)
     )
     rows = [row]
     if words:
         rows.append(
-            Check(
-                f"{tag} word-count-monotone",
+            check(
+                "word-count-monotone",
                 len(words),
                 len(t2_words),
                 "<=",
@@ -141,7 +137,7 @@ def _has_b(word):
     return any(kind == "b" for kind, _ in word)
 
 
-def _check_g(ctx, tag, ell, b_p0):
+def _check_g(ctx, check, ell, b_p0):
     rows = []
     p0, pk, p1 = ctx.p0, ctx.pk, ctx.path[1]
     if ctx.k % 2 == 0:
@@ -159,8 +155,8 @@ def _check_g(ctx, tag, ell, b_p0):
             good = good and ok
             images.add(image)
         rows.append(
-            Check(
-                f"{tag} g-even-involution",
+            check(
+                "g-even-involution",
                 len(domain),
                 len(images),
                 "==",
@@ -189,8 +185,8 @@ def _check_g(ctx, tag, ell, b_p0):
                 good = good and ok
                 images.add(image)
             rows.append(
-                Check(
-                    f"{tag} g-odd-involution",
+                check(
+                    "g-odd-involution",
                     len(domain),
                     len(images),
                     "==",
@@ -210,8 +206,8 @@ def _check_g(ctx, tag, ell, b_p0):
         good = good and ok
         images.add(image)
     rows.append(
-        Check(
-            f"{tag} g-total-inject",
+        check(
+            "g-total-inject",
             len(domain),
             len(images),
             "==",
@@ -221,7 +217,7 @@ def _check_g(ctx, tag, ell, b_p0):
     return rows
 
 
-def _check_lemmas(ctx, tag, ell, b_p0):
+def _check_lemmas(ctx, check, ell, b_p0):
     rows = []
     p0, pk = ctx.p0, ctx.pk
     w_p0 = len(b_p0)
@@ -231,14 +227,14 @@ def _check_lemmas(ctx, tag, ell, b_p0):
         w_pk = len(words_of(ctx, HOST_T, ell, start=pk, part="B"))
         path_pk = len(words_of(ctx, HOST_T, ell, start=pk, part="P"))
         rhs = w_pk - path_pk
-        rows.append(Check(f"{tag} lemma-even", lhs, rhs, "<=", lhs <= rhs))
+        rows.append(check("lemma-even", lhs, rhs, "<=", lhs <= rhs))
     else:
         w_pk = len(words_of(ctx, HOST_T, ell - 1, start=pk, part="B"))
         path_pk = len(words_of(ctx, HOST_T, ell - 1, start=pk, part="P"))
         rhs = w_pk - path_pk
-        rows.append(Check(f"{tag} lemma-odd", lhs, rhs, "<=", lhs <= rhs))
+        rows.append(check("lemma-odd", lhs, rhs, "<=", lhs <= rhs))
     w2_p0 = len(words_of(ctx, HOST_T2, ell, start=p0, part="B"))
     path2_p0 = len(words_of(ctx, HOST_T2, ell, start=p0, part="P"))
     rhs = w2_p0 - path2_p0
-    rows.append(Check(f"{tag} corollary-total", lhs, rhs, "<=", lhs <= rhs))
+    rows.append(check("corollary-total", lhs, rhs, "<=", lhs <= rhs))
     return rows

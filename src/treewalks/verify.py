@@ -15,6 +15,7 @@ none of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .transforms import _kc_along, bare_paths, dc_transform, valency
 from .trees import Tree, canonical_code, distances_from, tree_path
@@ -33,6 +34,7 @@ __all__ = [
     "is_p_broom",
     "report_to_csv",
     "report_to_json",
+    "report_to_summary",
     "verify_closed_extremal",
     "verify_injections",
     "verify_kc_monotone",
@@ -40,13 +42,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Check:
-    instance: str
+    """One checked relation ``lhs relation rhs`` and whether it held.
+
+    ``n`` is the tree order, ``ell`` the walk or path length and ``name``
+    the check (``star-max``, ``closed``, ``h-inject``, ...).  The per-tree
+    sweeps (kc-monotone, injections) also set ``tree``, the index of the
+    tree among the free trees of order n, and ``path``, the vertices of the
+    bare path moved or split.  ``instance`` renders the record as
+
+        n=NN len=LL name                          (whole-order checks)
+        n=NN t=TTT path=v0-v1-...-vk len=LL name  (per-tree checks)
+
+    with zero-padded n, t and ell; reports sort and print by that string,
+    which each record renders once.
+    """
+
+    n: int
+    ell: int
+    name: str
     lhs: object
     rhs: object
     relation: str
     passed: bool
+    tree: int | None = None
+    path: tuple[int, ...] | None = None
+    _instance: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def instance(self) -> str:
+        text = self._instance
+        if text is None:
+            if self.tree is None:
+                text = f"n={self.n:02d} len={self.ell:02d} {self.name}"
+            else:
+                pid = "-".join(map(str, self.path))
+                text = f"n={self.n:02d} t={self.tree:03d} path={pid} len={self.ell:02d} {self.name}"
+            self._instance = text
+        return text
 
 
 @dataclass
@@ -64,7 +98,7 @@ class VerificationReport:
         return not self.violations
 
     def finalize(self) -> "VerificationReport":
-        self.checks.sort(key=lambda c: c.instance)
+        self.checks.sort(key=attrgetter("instance"))
         return self
 
 
@@ -82,10 +116,37 @@ def report_to_json(report: VerificationReport) -> str:
         "scope": {k: str(v) for k, v in report.scope.items()},
         "ok": report.ok,
         "checks": len(report.checks),
-        "violations": [c.__dict__ | {"lhs": str(c.lhs), "rhs": str(c.rhs)} for c in report.violations],
+        "violations": [
+            {
+                "instance": c.instance,
+                "lhs": str(c.lhs),
+                "rhs": str(c.rhs),
+                "relation": c.relation,
+                "passed": c.passed,
+            }
+            for c in report.violations
+        ],
         "extremal_witnesses": report.extremal_witnesses,
     }
     return json.dumps(payload, sort_keys=True, default=str) + "\n"
+
+
+def report_to_summary(report: VerificationReport) -> str:
+    """One row per (tree, bare path, length) of a per-tree sweep: the size
+    of the h-map's domain and image there, and the count of failed checks.
+    Rows follow the report's (finalized) check order."""
+    cells: dict[tuple, list] = {}
+    for c in report.checks:
+        row = cells.setdefault((c.n, c.tree, c.path, c.ell), [0, 0, 0])
+        if c.name == "h-inject":
+            row[0], row[1] = c.lhs, c.rhs
+        if not c.passed:
+            row[2] += 1
+    lines = ["tree,path,len,domain,image,violations"]
+    for (n, index, path, ell), (domain, image, violations) in cells.items():
+        pid = "-".join(map(str, path))
+        lines.append(f"{n:02d}/{index:03d},{pid},{ell},{domain},{image},{violations}")
+    return "\n".join(lines) + "\n"
 
 
 def _require(name: str, value: int, least: int) -> None:
@@ -131,19 +192,35 @@ def verify_closed_extremal(max_n: int, max_len: int) -> VerificationReport:
             argmin = sorted(c for c, v in values.items() if v == vmin)
             base = f"n={n:02d} len={ell:02d}"
             report.checks.append(
-                Check(f"{base} star-max", values[star_code], vmax, "==", values[star_code] == vmax)
+                Check(n, ell, "star-max", values[star_code], vmax, "==", values[star_code] == vmax)
             )
             report.checks.append(
-                Check(f"{base} path-min", values[path_code], vmin, "==", values[path_code] == vmin)
+                Check(n, ell, "path-min", values[path_code], vmin, "==", values[path_code] == vmin)
             )
             if vmax != vmin:
                 report.checks.append(
-                    Check(f"{base} star-unique", len(argmax), 1, "==", len(argmax) == 1)
+                    Check(n, ell, "star-unique", len(argmax), 1, "==", len(argmax) == 1)
                 )
                 report.checks.append(
-                    Check(f"{base} path-unique", len(argmin), 1, "==", len(argmin) == 1)
+                    Check(n, ell, "path-unique", len(argmin), 1, "==", len(argmin) == 1)
                 )
             report.extremal_witnesses[base] = {"max": argmax, "min": argmin}
+    return report.finalize()
+
+
+def _sweep_trees(report, rows_fn, max_n: int, args: tuple, workers: int) -> VerificationReport:
+    """The per-tree sweep driver: enumerate every free tree of order
+    2..max_n, run ``rows_fn((tree, index, *args))`` on each (in ``workers``
+    processes), and collect the checks in sorted order."""
+    from .generate import enumerate_free_trees
+
+    jobs = [
+        (t, index, *args)
+        for n in range(2, max_n + 1)
+        for index, t in enumerate(enumerate_free_trees(n))
+    ]
+    for rows in _pmap(rows_fn, jobs, workers):
+        report.checks.extend(rows)
     return report.finalize()
 
 
@@ -163,20 +240,13 @@ def _kc_monotone_rows(args) -> list:
     rows = []
     base = vectors(t)
     for bp in bare_paths(t):
-        moved = vectors(_kc_along(t, bp.vertices))
-        pid = "-".join(map(str, bp.vertices))
+        path = bp.vertices
+        moved = vectors(_kc_along(t, path))
         for kind in kinds:
             before, after = base[kind], moved[kind]
             for ell in range(1, max_len + 1):
-                rows.append(
-                    Check(
-                        f"n={t.n:02d} t={index:03d} path={pid} len={ell:02d} {kind}",
-                        before[ell - 1],
-                        after[ell - 1],
-                        "<=",
-                        before[ell - 1] <= after[ell - 1],
-                    )
-                )
+                lhs, rhs = before[ell - 1], after[ell - 1]
+                rows.append(Check(t.n, ell, kind, lhs, rhs, "<=", lhs <= rhs, index, path))
     return rows
 
 
@@ -186,8 +256,6 @@ def verify_kc_monotone(
     """Counts of the given kind ('closed', 'all', or 'both') must never
     decrease under any single end-to-end path move, over every tree up to
     max_n and every bare path.  'both' checks the two kinds in one pass."""
-    from .generate import enumerate_free_trees
-
     if kind not in ("closed", "all", "both"):
         raise ValueError(f"kind must be 'closed', 'all' or 'both', got {kind!r}")
     _require("max_n", max_n, 2)
@@ -195,54 +263,31 @@ def verify_kc_monotone(
     _require("workers", workers, 1)
     kinds = ("closed", "all") if kind == "both" else (kind,)
     report = VerificationReport(scope={"max_n": max_n, "max_len": max_len, "kind": kind})
-    jobs = []
-    for n in range(2, max_n + 1):
-        for index, t in enumerate(enumerate_free_trees(n)):
-            jobs.append((t, index, max_len, kinds))
-    for rows in _pmap(_kc_monotone_rows, jobs, workers):
-        report.checks.extend(rows)
-    return report.finalize()
+    return _sweep_trees(report, _kc_monotone_rows, max_n, (max_len, kinds), workers)
 
 
 # ---------------------------------------------------------------------------
-# Injection suites
+# Word-map injections
+
+# the scope entry of every injection report: all four check families run
+_INJECTION_SCOPE = "f,g,h,lemmas"
 
 
-INJECTION_SUITES = ("f", "g", "h", "lemmas")
-
-
-def verify_injections(
-    max_n: int,
-    max_len: int,
-    suites: tuple = INJECTION_SUITES,
-    workers: int = 1,
-) -> VerificationReport:
+def verify_injections(max_n: int, max_len: int, workers: int = 1) -> VerificationReport:
     """Exhaustively check injectivity, validity, length- and
     type-preservation of the word maps over every context from trees up to
-    max_n, plus the endpoint-swap counting inequalities.  ``suites`` picks
-    a nonempty subset of INJECTION_SUITES.  The per-tree worker lives in
-    ``injections``, which this imports only here, so the other sweeps never
-    load the word layer."""
-    from .generate import enumerate_free_trees
+    max_n, plus the endpoint-swap counting inequalities.  The per-tree
+    worker lives in ``injections``, which this imports only here, so the
+    other sweeps never load the word layer."""
     from .injections import injection_rows
 
     _require("max_n", max_n, 2)
     _require("max_len", max_len, 1)
     _require("workers", workers, 1)
-    if not suites or not set(suites) <= set(INJECTION_SUITES):
-        raise ValueError(
-            f"suites must be a nonempty subset of {INJECTION_SUITES}, got {suites!r}"
-        )
     report = VerificationReport(
-        scope={"max_n": max_n, "max_len": max_len, "suites": ",".join(suites)}
+        scope={"max_n": max_n, "max_len": max_len, "suites": _INJECTION_SCOPE}
     )
-    jobs = []
-    for n in range(2, max_n + 1):
-        for index, t in enumerate(enumerate_free_trees(n)):
-            jobs.append((t, index, max_len, tuple(suites)))
-    for rows in _pmap(injection_rows, jobs, workers):
-        report.checks.extend(rows)
-    return report.finalize()
+    return _sweep_trees(report, injection_rows, max_n, (max_len,), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +379,7 @@ def verify_path_extremal(max_n: int, ell: int) -> VerificationReport:
         if ell == 2:
             expect = (n - 1) * (n - 2) // 2
             report.checks.append(
-                Check(f"{base} star-formula", vmax, expect, "==", vmax == expect)
+                Check(n, ell, "star-formula", vmax, expect, "==", vmax == expect)
             )
         elif ell % 2 == 0:
             best = 0
@@ -343,18 +388,18 @@ def verify_path_extremal(max_n: int, ell: int) -> VerificationReport:
                 best = max(best, count_ell_paths(p_broom(n, ell, p), ell))
                 p += 1
             report.checks.append(
-                Check(f"{base} broom-max", vmax, best, "==", vmax == best)
+                Check(n, ell, "broom-max", vmax, best, "==", vmax == best)
             )
         else:
             extra = max(n - ell + 1, 0)
             expect = (extra // 2) * (extra - extra // 2)
             report.checks.append(
-                Check(f"{base} double-broom-max", vmax, expect, "==", vmax == expect)
+                Check(n, ell, "double-broom-max", vmax, expect, "==", vmax == expect)
             )
             if ell == 3:
                 expect3 = (n - 2) ** 2 // 4 if n >= 2 else 0
                 report.checks.append(
-                    Check(f"{base} square-formula", vmax, expect3, "==", vmax == expect3)
+                    Check(n, ell, "square-formula", vmax, expect3, "==", vmax == expect3)
                 )
     return report.finalize()
 

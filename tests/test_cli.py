@@ -74,7 +74,8 @@ GOLDEN_ENUMERATE = {
 
 # stdout digest of the word-map injection reports, recorded before the
 # injection sweep built its word sets by one labeled DFS per context and
-# memoized decodes and f-images
+# memoized decodes and f-images (the summary digest was recorded as the
+# output of `words verify`, which `--format summary` replaced)
 GOLDEN_INJECTIONS = [
     (
         ["verify", "injections", "--max-n", "6", "--max-len", "4"],
@@ -85,7 +86,7 @@ GOLDEN_INJECTIONS = [
         "f347f49f4dd65bf18a38f85365746e9e2fc5565d248f32616e8c13ba67840ff8",
     ),
     (
-        ["words", "verify", "--max-n", "6", "--max-len", "4"],
+        ["verify", "injections", "--max-n", "6", "--max-len", "4", "--format", "summary"],
         "916401c2abd2f21ff9259bbf20c5267ba6a82ca8eac8103f98b4a2bd3777550d",
     ),
 ]
@@ -141,7 +142,9 @@ def test_golden_injections(argv, digest, capsys):
     assert sha256(out) == digest
 
 
-@pytest.mark.parametrize("argv", [["verify", "injections"], ["words", "verify"]])
+@pytest.mark.parametrize(
+    "argv", [["verify", "injections"], ["verify", "injections", "--format", "summary"]]
+)
 def test_injections_two_workers_match_one(argv, capsys):
     scope = ["--max-n", "5", "--max-len", "3"]
     outputs = [run(argv + scope + ["--workers", w], capsys) for w in ("1", "2")]
@@ -224,9 +227,7 @@ def test_python_m_treewalks_matches_cli_module():
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["verify", "injections", "--max-n", "5"], ["words", "verify", "--max-n", "5"]],
-    ids=["verify injections", "words verify"],
+    "argv", [["verify", "injections", "--max-n", "5"]], ids=["verify injections"]
 )
 @pytest.mark.parametrize("max_len", ["0", "-1"])
 def test_injections_reject_max_len_below_one(argv, max_len, capsys):
@@ -267,6 +268,24 @@ def test_dc_reduce_rejects_length_two(fixed_tree, capsys):
     assert err == "error: reduction needs ell >= 3\n"
 
 
+def test_words_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["words", "verify", "--max-n", "4", "--max-len", "2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "invalid choice: 'words'" in err
+
+
+@pytest.mark.parametrize("command", ["closed-extremal", "kc-monotone"])
+def test_summary_format_is_injections_only(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", command, "--max-n", "4", "--max-len", "2", "--format", "summary"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "invalid choice: 'summary'" in err
+
+
 def test_closed_extremal_has_no_workers_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "closed-extremal", "--max-n", "4", "--max-len", "4", "--workers", "2"])
@@ -286,7 +305,6 @@ EMPTY_SCOPES = [
     (["verify", "closed-extremal", "--max-n", "4", "--max-len", "1"], "max_len must be >= 2, got 1"),
     (["verify", "path-extremal", "--max-n", "0", "--len", "4"], "max_n must be >= 1, got 0"),
     (["verify", "injections", "--max-n", "1", "--max-len", "3"], "max_n must be >= 2, got 1"),
-    (["words", "verify", "--max-n", "1", "--max-len", "3"], "max_n must be >= 2, got 1"),
     (
         ["verify", "kc-monotone", "--max-n", "4", "--max-len", "2", "--workers", "0"],
         "workers must be >= 1, got 0",
@@ -294,10 +312,6 @@ EMPTY_SCOPES = [
     (
         ["verify", "injections", "--max-n", "4", "--max-len", "2", "--workers", "-1"],
         "workers must be >= 1, got -1",
-    ),
-    (
-        ["words", "verify", "--max-n", "4", "--max-len", "2", "--workers", "0"],
-        "workers must be >= 1, got 0",
     ),
 ]
 
@@ -313,7 +327,8 @@ def test_empty_scope_exits_two(argv, message, capsys):
 # Violation goldens: no golden scope above contains a failing check, so these
 # break the library on purpose and pin how failures are written (the JSON
 # violations list, the CSV passed=0 rows and the summary's violations column).
-# Recorded before check records carried typed fields.
+# Recorded before check records carried typed fields; the summary digest was
+# recorded as the output of `words verify`, which `--format summary` replaced.
 
 
 def _path_profiles_bumped(monkeypatch):
@@ -359,7 +374,7 @@ GOLDEN_VIOLATIONS = [
     ),
     (
         _g_total_broken,
-        ["words", "verify", "--max-n", "5", "--max-len", "3"],
+        ["verify", "injections", "--max-n", "5", "--max-len", "3", "--format", "summary"],
         "77c9e94a856d12a48fd2064f0a9ebdb28ac6f103e2e95cf9cbeff6d5f93d545c",
     ),
 ]

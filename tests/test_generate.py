@@ -5,14 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treewalks.generate import (
-    FamilySpec,
     all_labeled_trees,
     broom,
     double_broom_paths,
     double_broom_walks,
     enumerate_free_trees,
     from_pruefer,
-    make_family,
     p_broom,
     path_tree,
     star_tree,
@@ -133,16 +131,6 @@ class TestFamilies:
 
     def test_degenerate_double_broom_is_path(self):
         assert is_isomorphic(double_broom_paths(5, 4), path_tree(5))
-
-    def test_make_family_dispatch(self):
-        assert make_family(FamilySpec("path", {"n": 5})) == path_tree(5)
-        assert make_family(FamilySpec("star", {"n": 5})) == star_tree(5)
-        assert make_family(FamilySpec("broom", {"path_length": 2, "leaves": 2})) == broom(2, 2)
-        assert make_family(FamilySpec("p_broom", {"n": 16, "ell": 4, "p": 3})) == p_broom(16, 4, 3)
-
-    def test_make_family_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_family(FamilySpec("wheel", {"n": 5}))
 
     @given(st.integers(0, 6), st.integers(0, 6))
     @settings(deadline=None)

@@ -122,9 +122,9 @@ class TestImportFootprint:
 # submodules eagerly, with the submodule that defines it.
 PUBLIC_API = {
     "generate": [
-        "FamilySpec", "broom", "double_broom_paths", "double_broom_walks",
-        "enumerate_free_trees", "from_pruefer", "make_family", "p_broom",
-        "path_tree", "star_tree", "to_pruefer",
+        "broom", "double_broom_paths", "double_broom_walks",
+        "enumerate_free_trees", "from_pruefer", "p_broom", "path_tree",
+        "star_tree", "to_pruefer",
     ],
     "transforms": [
         "BarePath", "Valency", "bare_paths", "dc_transform", "kc_moves",

@@ -3,17 +3,56 @@ import random
 import pytest
 
 from treewalks import transforms, trees, verify, words
-from treewalks.generate import from_pruefer
+from treewalks.generate import (
+    double_broom_paths,
+    enumerate_free_trees,
+    from_pruefer,
+    p_broom,
+    path_tree,
+    star_tree,
+)
 from treewalks.transforms import dc_transform, valency
-from treewalks.trees import distance, tree_path
+from treewalks.trees import canonical_code, distance, tree_path
 from treewalks.verify import (
+    Check,
+    VerificationReport,
+    dc_reduce,
     dc_reduce_trace,
+    is_double_broom,
+    is_p_broom,
+    report_to_summary,
     verify_closed_extremal,
     verify_injections,
     verify_kc_monotone,
     verify_path_extremal,
 )
 from treewalks.walks import count_ell_paths
+
+
+class TestCheckRecords:
+    def test_instance_forms(self):
+        whole = Check(7, 4, "star-max", 1, 1, "==", True)
+        per_tree = Check(7, 4, "h-inject", 3, 3, "==", True, tree=12, path=(10, 2, 3))
+        assert whole.instance == "n=07 len=04 star-max"
+        assert per_tree.instance == "n=07 t=012 path=10-2-3 len=04 h-inject"
+        assert per_tree == Check(7, 4, "h-inject", 3, 3, "==", True, tree=12, path=(10, 2, 3))
+
+    def test_summary_groups_checks_by_cell(self):
+        cell = {"tree": 1, "path": (0, 1)}
+        report = VerificationReport(
+            scope={},
+            checks=[
+                Check(4, 3, "h-inject", 5, 4, "==", False, **cell),
+                Check(4, 3, "lemma-odd", 1, 0, "<=", False, **cell),
+                Check(4, 2, "f-closed-inject", 2, 2, "==", True, **cell),
+                Check(4, 2, "h-inject", 6, 6, "==", True, **cell),
+            ],
+        ).finalize()
+        assert report_to_summary(report) == (
+            "tree,path,len,domain,image,violations\n"
+            "04/001,0-1,2,6,6,0\n"
+            "04/001,0-1,3,5,4,2\n"
+        )
 
 
 class TestKcMonotone:
@@ -192,8 +231,50 @@ class TestDcReduce:
 
 
 # ---------------------------------------------------------------------------
-# Injection suites: each one adds its own check names, and a subset run is
-# the full run with the other suites' rows left out
+# Extremal shapes of the path count: p-brooms (even length) and double brooms
+# (odd length)
+
+
+class TestBroomShapes:
+    @pytest.mark.parametrize("ell", [4, 6, 8])
+    def test_every_feasible_p_broom_is_one(self, ell):
+        half = (ell - 2) // 2
+        built = 0
+        for n in range(1, 30):
+            for p in range(1, n):
+                if n - 1 - p * half >= p:
+                    assert is_p_broom(p_broom(n, ell, p), ell), (n, p)
+                    built += 1
+        assert built
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_every_double_broom_is_one(self, ell):
+        for n in range(ell - 1, 30):
+            assert is_double_broom(double_broom_paths(n, ell), ell), n
+
+    def test_other_shapes_are_rejected(self):
+        assert not is_p_broom(path_tree(9), 4)
+        assert not is_double_broom(star_tree(6), 5)
+        assert not is_p_broom(star_tree(6), 6)
+
+    @pytest.mark.parametrize("ell", [3, 4, 5, 6])
+    def test_dc_reduction_ends_in_the_extremal_shape(self, ell):
+        shape = is_double_broom if ell % 2 else is_p_broom
+        reduced = 0
+        for n in range(1, 11):
+            for t in enumerate_free_trees(n):
+                if count_ell_paths(t, ell):
+                    assert shape(dc_reduce(t, ell), ell), (n, canonical_code(t))
+                    reduced += 1
+        assert reduced == REDUCTIONS_UP_TO_10[ell]
+
+
+# trees with n <= 10 and a length-ell path, per ell: 558 reductions in all
+REDUCTIONS_UP_TO_10 = {3: 191, 4: 175, 5: 124, 6: 68}
+
+
+# ---------------------------------------------------------------------------
+# Injection checks: the sweep runs every check family of the word maps
 
 SUITE_CHECKS = {
     "f": {"f-closed-inject", "f-general-inject"},
@@ -204,7 +285,7 @@ SUITE_CHECKS = {
 
 
 def _check_name(check):
-    return check.instance.rsplit(" ", 1)[1]
+    return check.name
 
 
 @pytest.fixture(scope="module")
@@ -213,34 +294,17 @@ def full_injections():
 
 
 class TestInjectionSuites:
-    @pytest.mark.parametrize("suites", [("F",), ()], ids=["unknown", "empty"])
-    def test_rejects_unknown_or_empty(self, suites):
-        with pytest.raises(ValueError, match="suites must be a nonempty subset"):
-            verify_injections(4, 2, suites=suites)
-
     def test_full_run_has_every_suite_check(self, full_injections):
         names = {_check_name(c) for c in full_injections.checks}
         assert names == set().union(*SUITE_CHECKS.values())
 
-    @pytest.mark.parametrize(
-        "suites", [("f",), ("g",), ("h",), ("lemmas",), ("f", "g")], ids=",".join
-    )
-    def test_subset_is_full_run_filtered(self, suites, full_injections):
-        names = set().union(*(SUITE_CHECKS[s] for s in suites))
-        expect = [c for c in full_injections.checks if _check_name(c) in names]
-        assert expect
-        assert verify_injections(6, 4, suites=suites).checks == expect
-
     def test_type_table_serves_the_full_run(self, monkeypatch):
-        # with the h suite the sweep types every domain word and image from
-        # the word sets; without it the images of f fall back to classify
+        # the sweep types every domain word and image from the word sets
         calls = []
         real = words.classify
         monkeypatch.setattr(words, "classify", lambda word: calls.append(word) or real(word))
         verify_injections(5, 3)
         assert calls == []
-        verify_injections(5, 3, suites=("f", "g"))
-        assert calls
 
 
 # ---------------------------------------------------------------------------
