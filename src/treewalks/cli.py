@@ -9,11 +9,12 @@ Subcommands:
 - ``kc --tree FILE (--x X --y Y | --list-moves)``: the end-to-end path move.
 - ``verify closed-extremal|kc-monotone|injections|path-extremal``: the
   exhaustive sweeps, one CSV row per check (``instance,lhs,rhs,relation,
-  passed``) or a JSON summary with the violations.  ``verify injections
-  --format summary`` prints one row per (tree, bare path, length) instead:
-  ``tree,path,len,domain,image,violations``, where tree is ``n/index``,
-  domain and image are the sizes of the h-map's domain and image, and
-  violations counts the failed checks there.
+  passed``) or one JSON object with the scope, the check count and the
+  violations.  ``verify injections --format summary`` prints one row per
+  (tree, bare path, length) instead: ``tree,path,len,domain,image,
+  violations``, where tree is ``n/index``, domain and image are the sizes
+  of the h-map's domain and image, and violations counts the failed checks
+  there.
 - ``counterexample --c C --k K --len L``: distance sum up, walk counts up.
 - ``broom-profile --n N --len L``: path counts across leg counts.
 - ``dc-reduce --tree FILE --len L``: the greedy delete-clone reduction.
@@ -22,9 +23,10 @@ Each subparser sets ``handler``, the ``_cmd_*`` function that ``main`` runs
 on the parsed namespace.
 
 Import rule: at module level this file imports only what parsing and
-``_load_tree`` need (``argparse``, ``sys`` and ``.trees``).  Each ``_cmd_*`` handler imports the library functions it
-calls when it runs, so a process compiles and loads only the modules of
-its own subcommand: ``count`` never loads ``verify`` or ``words``.
+``_load_tree`` need (``argparse``, ``sys`` and ``.trees``).  Each
+``_cmd_*`` handler imports the library functions it calls when it runs, so
+a process compiles and loads only the modules of its own subcommand:
+``count`` never loads ``verify`` or ``words``.
 
 Exit codes: 0 all checks pass / verdict true, 1 violation or false verdict,
 2 usage error (bad flags, unreadable or malformed input).

@@ -12,7 +12,7 @@ from treewalks.generate import (
     star_tree,
 )
 from treewalks.transforms import dc_transform, valency
-from treewalks.trees import canonical_code, distance, tree_path
+from treewalks.trees import canonical_code, distance, tree, tree_path
 from treewalks.verify import (
     Check,
     VerificationReport,
@@ -256,6 +256,9 @@ class TestBroomShapes:
         assert not is_p_broom(path_tree(9), 4)
         assert not is_double_broom(star_tree(6), 5)
         assert not is_p_broom(star_tree(6), 6)
+        # a leaf hung in the middle of a leg, or of the spine
+        assert not is_p_broom(tree(6, [(0, 1), (1, 2), (0, 3), (3, 4), (1, 5)]), 6)
+        assert not is_double_broom(tree(5, [(0, 1), (1, 2), (2, 3), (1, 4)]), 5)
 
     @pytest.mark.parametrize("ell", [3, 4, 5, 6])
     def test_dc_reduction_ends_in_the_extremal_shape(self, ell):
