@@ -234,11 +234,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
     from .verify import build_counterexample
 
-    try:
-        result = build_counterexample(args.c, args.k, args.length)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    result = build_counterexample(args.c, args.k, args.length)
     payload = {
         "c": str(result.c),
         "k": result.k,
@@ -258,11 +254,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 def _cmd_broom_profile(args: argparse.Namespace) -> int:
     from .verify import broom_profile
 
-    try:
-        profile = broom_profile(args.n, args.length)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    profile = broom_profile(args.n, args.length)
     if args.format == "json":
         import json
 

@@ -4,6 +4,14 @@ For every bare path of a tree it builds the path's context and checks the
 f, g and h word maps and the endpoint-swap counting lemmas at every length.
 It is the one part of the sweeps that needs the word layer, so it lives
 apart from ``verify`` and is imported only when the injection sweep runs.
+
+Every map check has one shape: map each word of a domain, test each image
+(length, type and where it decodes, or that the swap undoes itself), and
+pass when every test holds and the images are as many as the words.
+``_injective`` turns a domain, its images and the per-image tests into
+that check record.  The images and tests are list comprehensions that call
+the maps by their names in this module, so a test that replaces one of
+them here replaces it in the sweep.
 """
 
 from __future__ import annotations
@@ -55,6 +63,14 @@ def injection_rows(args) -> list:
     return rows
 
 
+def _injective(check, name, domain, images, tests):
+    """The check that a map is injective on domain and that every image
+    passes its test; images and tests follow the order of domain."""
+    distinct = len(set(images))
+    passed = all(tests) and distinct == len(domain)
+    return check(name, len(domain), distinct, "==", passed)
+
+
 def _image_ok(ctx, word, image, require_closed):
     if len(image) != len(word):
         return False
@@ -73,53 +89,21 @@ _F_OPEN_TYPES = (WordType.T0, WordType.T11, WordType.T12)
 
 
 def _check_f(ctx, check, words, closed):
-    rows = []
-    images = set()
-    good = True
-    for word in closed:
-        image = f_map(ctx, word, closed=True)
-        good = good and _image_ok(ctx, word, image, require_closed=True)
-        images.add(image)
-    rows.append(
-        check(
-            "f-closed-inject",
-            len(closed),
-            len(images),
-            "==",
-            good and len(images) == len(closed),
-        )
-    )
     open_dom = [w for w in words if _word_type(ctx, w) in _F_OPEN_TYPES]
-    images = set()
-    good = True
-    for word in open_dom:
-        image = f_map(ctx, word, closed=False)
-        good = good and _image_ok(ctx, word, image, require_closed=False)
-        images.add(image)
-    rows.append(
-        check(
-            "f-general-inject",
-            len(open_dom),
-            len(images),
-            "==",
-            good and len(images) == len(open_dom),
-        )
-    )
-    return rows
+    closed_images = [f_map(ctx, w, closed=True) for w in closed]
+    open_images = [f_map(ctx, w, closed=False) for w in open_dom]
+    closed_tests = [_image_ok(ctx, w, i, True) for w, i in zip(closed, closed_images)]
+    open_tests = [_image_ok(ctx, w, i, False) for w, i in zip(open_dom, open_images)]
+    return [
+        _injective(check, "f-closed-inject", closed, closed_images, closed_tests),
+        _injective(check, "f-general-inject", open_dom, open_images, open_tests),
+    ]
 
 
 def _check_h(ctx, check, words, t2_words):
-    images = set()
-    good = True
-    for word in words:
-        image = h_map(ctx, word)
-        good = good and _image_ok(ctx, word, image, require_closed=False)
-        images.add(image)
-    distinct = len(images)
-    row = check(
-        "h-inject", len(words), distinct, "==", good and distinct == len(words)
-    )
-    rows = [row]
+    images = [h_map(ctx, w) for w in words]
+    tests = [_image_ok(ctx, w, i, False) for w, i in zip(words, images)]
+    rows = [_injective(check, "h-inject", words, images, tests)]
     if words:
         rows.append(
             check(
@@ -137,104 +121,53 @@ def _has_b(word):
     return any(kind == "b" for kind, _ in word)
 
 
+def _lands(ctx, image, length, start, host):
+    """Whether a g-image has the length, a b-letter, and a walk from start
+    in host."""
+    return (
+        len(image) == length
+        and _has_b(image)
+        and _trace(ctx, image, start, host) is not None
+    )
+
+
 def _check_g(ctx, check, ell, b_p0):
     rows = []
-    p0, pk, p1 = ctx.p0, ctx.pk, ctx.path[1]
-    if ctx.k % 2 == 0:
-        domain = [w for w in b_p0 if _has_b(w)]
-        images = set()
-        good = True
-        for word in domain:
-            image = g_even(ctx, word)
-            ok = (
-                len(image) == ell
-                and _has_b(image)
-                and _trace(ctx, image, pk, HOST_T) is not None
-                and g_even(ctx, image) == word
-            )
-            good = good and ok
-            images.add(image)
-        rows.append(
-            check(
-                "g-even-involution",
-                len(domain),
-                len(images),
-                "==",
-                good and len(images) == len(domain),
-            )
-        )
-    else:
-        b_nbrs = ctx.b_neighbors_of_pk()
-        if b_nbrs and ell >= 2:
-            u = min(b_nbrs)
-            domain = [
-                w
-                for w in words_of(ctx, HOST_T, ell - 1, start=p1, part="B")
-                if _has_b(w)
-            ]
-            images = set()
-            good = True
-            for word in domain:
-                image = g_odd(ctx, word, u)
-                ok = (
-                    len(image) == ell - 1
-                    and _has_b(image)
-                    and _trace(ctx, image, pk, HOST_T) is not None
-                    and g_odd(ctx, image, u) == word
-                )
-                good = good and ok
-                images.add(image)
-            rows.append(
-                check(
-                    "g-odd-involution",
-                    len(domain),
-                    len(images),
-                    "==",
-                    good and len(images) == len(domain),
-                )
-            )
+    p0, pk = ctx.p0, ctx.pk
     domain = [w for w in b_p0 if _has_b(w)]
-    images = set()
-    good = True
-    for word in domain:
-        image = g_total(ctx, word)
-        ok = (
-            len(image) == ell
-            and _has_b(image)
-            and _trace(ctx, image, p0, HOST_T2) is not None
-        )
-        good = good and ok
-        images.add(image)
-    rows.append(
-        check(
-            "g-total-inject",
-            len(domain),
-            len(images),
-            "==",
-            good and len(images) == len(domain),
-        )
-    )
+    if ctx.k % 2 == 0:
+        images = [g_even(ctx, w) for w in domain]
+        tests = [
+            _lands(ctx, i, ell, pk, HOST_T) and g_even(ctx, i) == w
+            for w, i in zip(domain, images)
+        ]
+        rows.append(_injective(check, "g-even-involution", domain, images, tests))
+    elif ctx.b_neighbors_of_pk() and ell >= 2:
+        u = min(ctx.b_neighbors_of_pk())
+        from_p1 = words_of(ctx, HOST_T, ell - 1, start=ctx.path[1], part="B")
+        odd = [w for w in from_p1 if _has_b(w)]
+        images = [g_odd(ctx, w, u) for w in odd]
+        tests = [
+            _lands(ctx, i, ell - 1, pk, HOST_T) and g_odd(ctx, i, u) == w
+            for w, i in zip(odd, images)
+        ]
+        rows.append(_injective(check, "g-odd-involution", odd, images, tests))
+    images = [g_total(ctx, w) for w in domain]
+    tests = [_lands(ctx, i, ell, p0, HOST_T2) for i in images]
+    rows.append(_injective(check, "g-total-inject", domain, images, tests))
     return rows
 
 
 def _check_lemmas(ctx, check, ell, b_p0):
-    rows = []
     p0, pk = ctx.p0, ctx.pk
-    w_p0 = len(b_p0)
-    path_p0 = len(words_of(ctx, HOST_T, ell, start=p0, part="P"))
-    lhs = w_p0 - path_p0
-    if ctx.k % 2 == 0:
-        w_pk = len(words_of(ctx, HOST_T, ell, start=pk, part="B"))
-        path_pk = len(words_of(ctx, HOST_T, ell, start=pk, part="P"))
-        rhs = w_pk - path_pk
-        rows.append(check("lemma-even", lhs, rhs, "<=", lhs <= rhs))
-    else:
-        w_pk = len(words_of(ctx, HOST_T, ell - 1, start=pk, part="B"))
-        path_pk = len(words_of(ctx, HOST_T, ell - 1, start=pk, part="P"))
-        rhs = w_pk - path_pk
-        rows.append(check("lemma-odd", lhs, rhs, "<=", lhs <= rhs))
+    lhs = len(b_p0) - len(words_of(ctx, HOST_T, ell, start=p0, part="P"))
+    # odd k compares with the p_k-rooted words one letter shorter
+    length, name = (ell, "lemma-even") if ctx.k % 2 == 0 else (ell - 1, "lemma-odd")
+    w_pk = len(words_of(ctx, HOST_T, length, start=pk, part="B"))
+    rhs = w_pk - len(words_of(ctx, HOST_T, length, start=pk, part="P"))
     w2_p0 = len(words_of(ctx, HOST_T2, ell, start=p0, part="B"))
-    path2_p0 = len(words_of(ctx, HOST_T2, ell, start=p0, part="P"))
-    rhs = w2_p0 - path2_p0
-    rows.append(check("corollary-total", lhs, rhs, "<=", lhs <= rhs))
-    return rows
+    total = w2_p0 - len(words_of(ctx, HOST_T2, ell, start=p0, part="P"))
+    return [
+        check(name, lhs, rhs, "<=", lhs <= rhs),
+        check("corollary-total", lhs, total, "<=", lhs <= total),
+    ]

@@ -365,8 +365,7 @@ def verify_path_extremal(max_n: int, ell: int) -> VerificationReport:
     from .generate import enumerate_free_trees, p_broom
     from .walks import count_ell_paths
 
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    _require("ell", ell, 2)
     _require("max_n", max_n, 1)
     report = VerificationReport(scope={"max_n": max_n, "ell": ell})
     for n in range(1, max_n + 1):

@@ -27,12 +27,17 @@ The maps:
   each type, and maps closed words to closed words.  f_inverse undoes it on
   the image.
 * g_even / g_odd are self-inverse swaps between walk words rooted at the
-  two path endpoints inside the B-side subgraph (even k splits at the path
-  midpoint; odd k reflects through the path extended by one designated
-  B-neighbor of p_k).
+  two path endpoints inside the B-side subgraph.  Both cut the walk at its
+  first visit to a middle vertex of the path.  Even k cuts at p_(k/2) and
+  conjugates the head.  Odd k extends the path by one designated
+  B-neighbor u of p_k, cuts at p_((k+1)/2), and maps the head through the
+  mirror of the extended path: the letter table that swaps c_1..c_k,u
+  end for end.
 * g_total composes these into an injection from p_0-rooted B-side T-words
-  that touch B into their T'-side counterparts; g_total_aside is the mirror
-  for the A-side.
+  that touch B into their T'-side counterparts.  g_total_aside is the
+  mirror for the A-side: it swaps p_k-rooted A-side words that touch A
+  into p_0-rooted ones, for odd k through the path extended at p_0 by its
+  smallest A-neighbor.
 * h_map stitches f_map and the g-injections into a length- and
   type-preserving injection on all T-words.
 
@@ -403,11 +408,10 @@ def reverse(word: Word) -> Word:
 
 
 _SPLIT_MODES = {
-    # mode: (start is p0?, target picker, use first visit?)
-    "last-visit-p0": (True, "p0", False),
-    "last-visit-pk": (False, "pk", False),
-    "first-visit-pk": (True, "pk", True),
-    "first-visit-mid": (True, "mid", True),
+    # mode: (start is p0?, target is p0?, use first visit?)
+    "last-visit-p0": (True, True, False),
+    "last-visit-pk": (False, False, False),
+    "first-visit-pk": (True, False, True),
 }
 
 
@@ -415,21 +419,15 @@ def split_c_block(ctx: PathContext, cblock: Word, mode: str) -> tuple[Word, Word
     """Split a path-walk word at a distinguished visit of its walk.
 
     The walk's start vertex is implied by the mode: p_0 for all modes
-    except last-visit-pk, which starts at p_k.  first-visit-mid targets
-    p_(k/2) and needs even k.
+    except last-visit-pk, which starts at p_k.
     """
     try:
-        from_p0, target_name, first = _SPLIT_MODES[mode]
+        from_p0, to_p0, first = _SPLIT_MODES[mode]
     except KeyError:
         raise ValueError(f"unknown split mode {mode!r}") from None
     if any(kind != "c" for kind, _ in cblock):
         raise ValueError("split_c_block takes pure path words")
-    if target_name == "mid":
-        if ctx.k % 2 != 0:
-            raise ValueError("first-visit-mid needs a path of even length")
-        target = ctx.path[ctx.k // 2]
-    else:
-        target = ctx.p0 if target_name == "p0" else ctx.pk
+    target = ctx.p0 if to_p0 else ctx.pk
     start = ctx.p0 if from_p0 else ctx.pk
     positions = _trace(ctx, cblock, start, HOST_T)
     if positions is None:
@@ -730,6 +728,21 @@ def _locate_b_side(ctx: PathContext, word: Word, starts: tuple[int, ...]) -> tup
     )
 
 
+def _first_visit(positions: tuple[int, ...], v: int, what: str) -> int:
+    """The index of the walk's first visit to v, which is named `what` in
+    the error when the walk never gets there."""
+    try:
+        return positions.index(v)
+    except ValueError:
+        raise ValueError(f"the walk never visits the {what}") from None
+
+
+def _mirror(letters: list[Letter]) -> dict[Letter, Letter]:
+    """The letter involution that reverses a path spelled by distinct
+    letters: the i-th letter swaps with the i-th from the end."""
+    return dict(zip(letters, reversed(letters)))
+
+
 def g_even(ctx: PathContext, word: Word) -> Word:
     """Even-k endpoint swap on the B-side subgraph: split at the walk's
     first visit to the path midpoint and conjugate the head.  Self-inverse
@@ -741,25 +754,8 @@ def g_even(ctx: PathContext, word: Word) -> Word:
     if not any(kind == "b" for kind, _ in word):
         raise ValueError("word lacks a b-letter")
     positions = _locate_b_side(ctx, word, (ctx.p0, ctx.pk))
-    mid = ctx.path[ctx.k // 2]
-    hits = [i for i, p in enumerate(positions) if p == mid]
-    if not hits:
-        raise ValueError("the walk never visits the path midpoint")
-    cut = hits[0]
+    cut = _first_visit(positions, ctx.path[ctx.k // 2], "path midpoint")
     return conjugate(ctx, word[:cut]) + word[cut:]
-
-
-def _reflection_map(ctx: PathContext, u: int) -> dict[Letter, Letter]:
-    """Letter involution of the even-length path p_0..p_k,u: c_i maps to
-    c_(k+2-i) for i >= 2, and c_1 swaps with the label of the p_k-u edge."""
-    k = ctx.k
-    u_letter = ctx.label_of(ctx.pk, u, HOST_T)
-    table: dict[Letter, Letter] = {}
-    for i in range(2, k + 1):
-        table[("c", i)] = ("c", k + 2 - i)
-    table[("c", 1)] = u_letter
-    table[u_letter] = ("c", 1)
-    return table
 
 
 def g_odd(ctx: PathContext, word: Word, u: int) -> Word:
@@ -776,12 +772,9 @@ def g_odd(ctx: PathContext, word: Word, u: int) -> Word:
     if not any(kind == "b" for kind, _ in word):
         raise ValueError("word lacks a b-letter")
     positions = _locate_b_side(ctx, word, (ctx.path[1], ctx.pk))
-    mid = ctx.path[(ctx.k + 1) // 2]
-    hits = [i for i, p in enumerate(positions) if p == mid]
-    if not hits:
-        raise ValueError("the walk never visits the reflection midpoint")
-    cut = hits[0]
-    table = _reflection_map(ctx, u)
+    cut = _first_visit(positions, ctx.path[(ctx.k + 1) // 2], "reflection midpoint")
+    path = [("c", i) for i in range(1, ctx.k + 1)]
+    table = _mirror(path + [ctx.label_of(ctx.pk, u, HOST_T)])
     head = tuple(table.get(letter, letter) for letter in word[:cut])
     return head + word[cut:]
 
@@ -820,24 +813,16 @@ def g_total_aside(ctx: PathContext, word: Word) -> Word:
         raise ValueError("word is not an A-side walk word from p_k")
     k = ctx.k
     if k % 2 == 0:
-        mid = ctx.path[k // 2]
-        hits = [i for i, p in enumerate(positions) if p == mid]
-        cut = hits[0]
+        cut = _first_visit(positions, ctx.path[k // 2], "path midpoint")
         return conjugate(ctx, word[:cut]) + word[cut:]
     # Odd k: strip the forced leading c_k, reflect through the path
-    # extended by the smallest A-neighbor of p_0, then restore the length.
+    # u,p_0..p_k extended by the smallest A-neighbor u of p_0, then restore
+    # the length.
     u = min(ctx.a_neighbors_of_p0())
-    u_letter = ctx.label_of(ctx.p0, u, HOST_T)
-    table: dict[Letter, Letter] = {}
-    for i in range(1, k):
-        table[("c", i)] = ("c", k - i)
-    table[("c", k)] = u_letter
-    table[u_letter] = ("c", k)
+    path = [("c", i) for i in range(1, k + 1)]
+    table = _mirror([ctx.label_of(ctx.p0, u, HOST_T)] + path)
     rest = word[1:]
-    rest_positions = positions[1:]
-    mid = ctx.path[(k - 1) // 2]
-    hits = [i for i, p in enumerate(rest_positions) if p == mid]
-    cut = hits[0]
+    cut = _first_visit(positions[1:], ctx.path[(k - 1) // 2], "reflection midpoint")
     head = tuple(table.get(letter, letter) for letter in rest[:cut])
     image = head + rest[cut:]
     return image + (image[-1],)

@@ -100,6 +100,17 @@ GOLDEN_DC_REDUCE = [
     ("5", "dot", "66867e2ea97561e6cbc43989f85ff3d19f5c34ea0639deabc826cd0624a1fc4e"),
 ]
 
+# (extra arguments, stdout digest) of `kc` on FIXED_TREE, where 2-3-4 is a
+# bare path; the dot labels come from words.build_context
+GOLDEN_KC = [
+    (["--x", "2", "--y", "4"], "963e4f5f6c972bf594574f69627d65611d9d6724512624aa4acc77f1f0335025"),
+    (
+        ["--x", "2", "--y", "4", "--format", "dot"],
+        "f4fb76e82f428c5403ce6517b29079d10954c6bba6d931e2712afd0affa821f0",
+    ),
+    (["--list-moves"], "fe0692e02680e4cfeac54838dcc6f12530f84bb0636988b5e928ee05e3db6614"),
+]
+
 # (kind, length, stdout digest) of `count` on FIXED_TREE
 GOLDEN_COUNTS = [
     ("closed", "10", "d02086d65c69d5b315c087307b2912e0e26063b47c97b0700c557012bf280667"),
@@ -170,6 +181,26 @@ def test_golden_count(kind, length, digest, fixed_tree, capsys):
     code, out, err = run(["count", "--kind", kind, "--len", length, fixed_tree], capsys)
     assert (code, err) == (0, "")
     assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("extra,digest", GOLDEN_KC, ids=[" ".join(a) for a, _ in GOLDEN_KC])
+def test_golden_kc(extra, digest, fixed_tree, capsys):
+    code, out, err = run(["kc", "--tree", fixed_tree, *extra], capsys)
+    assert (code, err) == (0, "")
+    assert sha256(out) == digest
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ([], "kc needs --x and --y (or --list-moves)"),
+        (["--x", "0", "--y", "4"], "(0, 4) does not span a bare path"),
+    ],
+)
+def test_kc_rejects_missing_or_non_bare_pair(extra, message, fixed_tree, capsys):
+    code, out, err = run(["kc", "--tree", fixed_tree, *extra], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_count_several_files(fixed_tree, capsys):
@@ -248,6 +279,12 @@ def test_broom_profile_rejects_odd_length(capsys):
     assert err == "error: broom profile needs even ell >= 4\n"
 
 
+def test_counterexample_rejects_non_integral_scope(capsys):
+    code, out, err = run(["counterexample", "--c", "1/3", "--k", "20", "--len", "10"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: c=1/3 and k=20 must make ck, (2-c)k and k/2 all integral\n"
+
+
 def test_counterexample_false_verdict_exits_one(capsys):
     code, out, _ = run(["counterexample", "--c", "1/2", "--k", "20", "--len", "10"], capsys)
     assert code == 1
@@ -304,6 +341,7 @@ EMPTY_SCOPES = [
     (["verify", "closed-extremal", "--max-n", "0", "--max-len", "4"], "max_n must be >= 1, got 0"),
     (["verify", "closed-extremal", "--max-n", "4", "--max-len", "1"], "max_len must be >= 2, got 1"),
     (["verify", "path-extremal", "--max-n", "0", "--len", "4"], "max_n must be >= 1, got 0"),
+    (["verify", "path-extremal", "--max-n", "4", "--len", "1"], "ell must be >= 2, got 1"),
     (["verify", "injections", "--max-n", "1", "--max-len", "3"], "max_n must be >= 2, got 1"),
     (
         ["verify", "kc-monotone", "--max-n", "4", "--max-len", "2", "--workers", "0"],
