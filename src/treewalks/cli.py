@@ -14,7 +14,7 @@ Subcommands:
   (tree, bare path, length) instead: ``tree,path,len,domain,image,
   violations``, where tree is ``n/index``, domain and image are the sizes
   of the h-map's domain and image, and violations counts the failed checks
-  there.
+  there.  CSV and summary rows are written as the sweep runs.
 - ``counterexample --c C --k K --len L``: distance sum up, walk counts up.
 - ``broom-profile --n N --len L``: path counts across leg counts.
 - ``dc-reduce --tree FILE --len L``: the greedy delete-clone reduction.
@@ -204,29 +204,28 @@ def _cmd_kc(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import (
-        report_to_csv,
-        report_to_json,
-        report_to_summary,
+        report_writer,
         verify_closed_extremal,
         verify_injections,
         verify_kc_monotone,
         verify_path_extremal,
     )
 
+    # the writer renders each block of checks as the sweep hands it over
+    writer = report_writer(args.format, sys.stdout.write)
     name = args.verify_command
     if name == "closed-extremal":
-        report = verify_closed_extremal(args.max_n, args.max_len)
+        report = verify_closed_extremal(args.max_n, args.max_len, emit=writer)
     elif name == "kc-monotone":
         report = verify_kc_monotone(
-            args.max_n, args.max_len, kind=args.kind, workers=args.workers
+            args.max_n, args.max_len, kind=args.kind, workers=args.workers, emit=writer
         )
     elif name == "injections":
-        report = verify_injections(args.max_n, args.max_len, workers=args.workers)
+        report = verify_injections(args.max_n, args.max_len, workers=args.workers, emit=writer)
     else:
-        report = verify_path_extremal(args.max_n, args.length)
-    writers = {"csv": report_to_csv, "json": report_to_json, "summary": report_to_summary}
-    sys.stdout.write(writers[args.format](report))
-    return 0 if report.ok else 1
+        report = verify_path_extremal(args.max_n, args.length, emit=writer)
+    writer.close(report)
+    return 0 if writer.ok else 1
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:

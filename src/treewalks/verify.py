@@ -5,6 +5,15 @@ multi-broom path-count optimization.
 Every reported relation is recomputed from exact integer counts; sweeps
 cache per-tree counts only inside a single run.
 
+Sweeps stream.  Each ``verify_*`` sweep hands its checks to a consumer in
+blocks, one per tree (kc-monotone, injections) or per order (closed- and
+path-extremal), each block sorted by ``Check.instance`` and the blocks in
+that order too, since the instance starts with the zero-padded
+``n=NN t=TTT``.  The default consumer collects every block into
+``report.checks``; ``report_writer`` gives the consumer that renders a
+format as the blocks come, keeping only the check count, the violations
+and the current block, so a sweep's memory does not grow with its output.
+
 Import rule: at module level this file imports only what the delete-clone
 reduction needs (``.transforms`` and ``.trees``).  The sweeps, the
 counterexample and the serializers import enumeration, the walk kernels,
@@ -35,6 +44,7 @@ __all__ = [
     "report_to_csv",
     "report_to_json",
     "report_to_summary",
+    "report_writer",
     "verify_closed_extremal",
     "verify_injections",
     "verify_kc_monotone",
@@ -85,6 +95,10 @@ class Check:
 
 @dataclass
 class VerificationReport:
+    """The scope of a sweep, its collected checks and, for the whole-order
+    sweeps, the extremal trees.  A sweep run with its own consumer leaves
+    ``checks`` empty: the consumer has the count and the violations."""
+
     scope: dict
     checks: list = field(default_factory=list)
     extremal_witnesses: dict = field(default_factory=dict)
@@ -102,51 +116,127 @@ class VerificationReport:
         return self
 
 
+class _Writer:
+    """A block consumer that renders checks through ``out`` as they come:
+    the format's header before the first block, the rows of each block,
+    and ``close(report)`` at the end.  It keeps only the check count and
+    the failed checks, which the JSON format and the exit code need."""
+
+    head = ""
+
+    def __init__(self, out):
+        self.out = out
+        self.count = 0
+        self.violations: list[Check] = []
+        self._started = False
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def __call__(self, block: list) -> None:
+        self._start()
+        self.count += len(block)
+        self.violations += [c for c in block if not c.passed]
+        self.out(self.rows(block))
+
+    def _start(self) -> None:
+        if not self._started:
+            self._started = True
+            self.out(self.head)
+
+    def rows(self, block: list) -> str:
+        return ""
+
+    def close(self, report: VerificationReport) -> None:
+        self._start()
+
+
+class _CsvWriter(_Writer):
+    head = "instance,lhs,rhs,relation,passed\n"
+
+    def rows(self, block: list) -> str:
+        return "".join(
+            f"{c.instance},{c.lhs},{c.rhs},{c.relation},{int(c.passed)}\n" for c in block
+        )
+
+
+class _JsonWriter(_Writer):
+    def close(self, report: VerificationReport) -> None:
+        import json
+
+        super().close(report)
+        payload = {
+            "scope": {k: str(v) for k, v in report.scope.items()},
+            "ok": self.ok,
+            "checks": self.count,
+            "violations": [
+                {
+                    "instance": c.instance,
+                    "lhs": str(c.lhs),
+                    "rhs": str(c.rhs),
+                    "relation": c.relation,
+                    "passed": c.passed,
+                }
+                for c in self.violations
+            ],
+            "extremal_witnesses": report.extremal_witnesses,
+        }
+        self.out(json.dumps(payload, sort_keys=True, default=str) + "\n")
+
+
+class _SummaryWriter(_Writer):
+    """One row per (tree, bare path, length) of a per-tree sweep: the size
+    of the h-map's domain and image there, and the count of failed checks.
+    Rows follow the check order; a tree's cells never span two blocks."""
+
+    head = "tree,path,len,domain,image,violations\n"
+
+    def rows(self, block: list) -> str:
+        cells: dict[tuple, list] = {}
+        for c in block:
+            row = cells.setdefault((c.n, c.tree, c.path, c.ell), [0, 0, 0])
+            if c.name == "h-inject":
+                row[0], row[1] = c.lhs, c.rhs
+            if not c.passed:
+                row[2] += 1
+        return "".join(
+            f"{n:02d}/{index:03d},{'-'.join(map(str, path))},{ell},{domain},{image},{violations}\n"
+            for (n, index, path, ell), (domain, image, violations) in cells.items()
+        )
+
+
+_WRITERS = {"csv": _CsvWriter, "json": _JsonWriter, "summary": _SummaryWriter}
+
+
+def report_writer(fmt: str, out) -> _Writer:
+    """The block consumer that renders format ``fmt`` ('csv', 'json' or
+    'summary') through ``out``, a callable taking each piece of text.  Pass
+    it to a ``verify_*`` sweep as ``emit``, then call ``close(report)`` on
+    the report the sweep returns; ``ok`` is the verdict."""
+    return _WRITERS[fmt](out)
+
+
+def _render(fmt: str, report: VerificationReport) -> str:
+    parts: list[str] = []
+    writer = report_writer(fmt, parts.append)
+    writer(report.checks)
+    writer.close(report)
+    return "".join(parts)
+
+
 def report_to_csv(report: VerificationReport) -> str:
-    lines = ["instance,lhs,rhs,relation,passed"]
-    for c in report.checks:
-        lines.append(f"{c.instance},{c.lhs},{c.rhs},{c.relation},{int(c.passed)}")
-    return "\n".join(lines) + "\n"
+    return _render("csv", report)
 
 
 def report_to_json(report: VerificationReport) -> str:
-    import json
-
-    payload = {
-        "scope": {k: str(v) for k, v in report.scope.items()},
-        "ok": report.ok,
-        "checks": len(report.checks),
-        "violations": [
-            {
-                "instance": c.instance,
-                "lhs": str(c.lhs),
-                "rhs": str(c.rhs),
-                "relation": c.relation,
-                "passed": c.passed,
-            }
-            for c in report.violations
-        ],
-        "extremal_witnesses": report.extremal_witnesses,
-    }
-    return json.dumps(payload, sort_keys=True, default=str) + "\n"
+    return _render("json", report)
 
 
 def report_to_summary(report: VerificationReport) -> str:
-    """One row per (tree, bare path, length) of a per-tree sweep: the size
-    of the h-map's domain and image there, and the count of failed checks.
-    Rows follow the report's (finalized) check order."""
-    cells: dict[tuple, list] = {}
-    for c in report.checks:
-        row = cells.setdefault((c.n, c.tree, c.path, c.ell), [0, 0, 0])
-        if c.name == "h-inject":
-            row[0], row[1] = c.lhs, c.rhs
-        if not c.passed:
-            row[2] += 1
-    lines = ["tree,path,len,domain,image,violations"]
-    for (n, index, path, ell), (domain, image, violations) in cells.items():
-        pid = "-".join(map(str, path))
-        lines.append(f"{n:02d}/{index:03d},{pid},{ell},{domain},{image},{violations}")
-    return "\n".join(lines) + "\n"
+    """The summary rows (see ``_SummaryWriter``) of a collected per-tree
+    report, in its (finalized) check order."""
+    return _render("summary", report)
 
 
 def _require(name: str, value: int, least: int) -> None:
@@ -156,72 +246,87 @@ def _require(name: str, value: int, least: int) -> None:
 
 
 def _pmap(fn, items, workers: int):
+    """fn over items, yielded lazily and in item order, in ``workers``
+    processes; the order does not depend on the worker count."""
     if workers <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(items) // (workers * 4)) if items else 1
+    items = list(items)
+    chunk = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        yield from pool.map(fn, items, chunksize=chunk)
+
+
+def _stream(report: VerificationReport, blocks, emit) -> VerificationReport:
+    """Sort each block of checks by instance and hand it to ``emit``
+    (default: collect it into ``report.checks``).  Blocks come in instance
+    order, so the blocks concatenate to one sorted report."""
+    emit = emit or report.checks.extend
+    for block in blocks:
+        block.sort(key=attrgetter("instance"))
+        emit(block)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Closed-walk extremality and monotonicity sweeps
 
 
-def verify_closed_extremal(max_n: int, max_len: int) -> VerificationReport:
+def verify_closed_extremal(max_n: int, max_len: int, emit=None) -> VerificationReport:
     """For each n <= max_n and even length, the star must attain the
     maximum closed-walk count and the path the minimum, uniquely whenever
-    the counts are not all equal."""
+    the counts are not all equal.  One block of checks per n goes to
+    ``emit`` (see ``_stream``)."""
     from .generate import enumerate_free_trees, path_tree, star_tree
     from .walks import closed_walk_profile
 
     _require("max_n", max_n, 1)
     _require("max_len", max_len, 2)
     report = VerificationReport(scope={"max_n": max_n, "max_len": max_len})
-    for n in range(1, max_n + 1):
-        trees = enumerate_free_trees(n)
-        star_code = canonical_code(star_tree(n))
-        path_code = canonical_code(path_tree(n))
-        profiles = {canonical_code(t): closed_walk_profile(t, max_len) for t in trees}
-        for ell in range(2, max_len + 1, 2):
-            values = {code: prof[ell] for code, prof in profiles.items()}
-            vmax = max(values.values())
-            vmin = min(values.values())
-            argmax = sorted(c for c, v in values.items() if v == vmax)
-            argmin = sorted(c for c, v in values.items() if v == vmin)
-            base = f"n={n:02d} len={ell:02d}"
-            report.checks.append(
-                Check(n, ell, "star-max", values[star_code], vmax, "==", values[star_code] == vmax)
-            )
-            report.checks.append(
-                Check(n, ell, "path-min", values[path_code], vmin, "==", values[path_code] == vmin)
-            )
-            if vmax != vmin:
-                report.checks.append(
-                    Check(n, ell, "star-unique", len(argmax), 1, "==", len(argmax) == 1)
+
+    def blocks():
+        for n in range(1, max_n + 1):
+            trees = enumerate_free_trees(n)
+            star_code = canonical_code(star_tree(n))
+            path_code = canonical_code(path_tree(n))
+            profiles = {canonical_code(t): closed_walk_profile(t, max_len) for t in trees}
+            checks = []
+            for ell in range(2, max_len + 1, 2):
+                values = {code: prof[ell] for code, prof in profiles.items()}
+                vmax = max(values.values())
+                vmin = min(values.values())
+                argmax = sorted(c for c, v in values.items() if v == vmax)
+                argmin = sorted(c for c, v in values.items() if v == vmin)
+                base = f"n={n:02d} len={ell:02d}"
+                checks.append(
+                    Check(n, ell, "star-max", values[star_code], vmax, "==", values[star_code] == vmax)
                 )
-                report.checks.append(
-                    Check(n, ell, "path-unique", len(argmin), 1, "==", len(argmin) == 1)
+                checks.append(
+                    Check(n, ell, "path-min", values[path_code], vmin, "==", values[path_code] == vmin)
                 )
-            report.extremal_witnesses[base] = {"max": argmax, "min": argmin}
-    return report.finalize()
+                if vmax != vmin:
+                    checks.append(Check(n, ell, "star-unique", len(argmax), 1, "==", len(argmax) == 1))
+                    checks.append(Check(n, ell, "path-unique", len(argmin), 1, "==", len(argmin) == 1))
+                report.extremal_witnesses[base] = {"max": argmax, "min": argmin}
+            yield checks
+
+    return _stream(report, blocks(), emit)
 
 
-def _sweep_trees(report, rows_fn, max_n: int, args: tuple, workers: int) -> VerificationReport:
+def _sweep_trees(report, emit, rows_fn, max_n: int, args: tuple, workers: int) -> VerificationReport:
     """The per-tree sweep driver: enumerate every free tree of order
     2..max_n, run ``rows_fn((tree, index, *args))`` on each (in ``workers``
-    processes), and collect the checks in sorted order."""
+    processes), and stream each tree's checks in (n, index) order."""
     from .generate import enumerate_free_trees
 
-    jobs = [
+    jobs = (
         (t, index, *args)
         for n in range(2, max_n + 1)
         for index, t in enumerate(enumerate_free_trees(n))
-    ]
-    for rows in _pmap(rows_fn, jobs, workers):
-        report.checks.extend(rows)
-    return report.finalize()
+    )
+    return _stream(report, _pmap(rows_fn, jobs, workers), emit)
 
 
 def _kc_monotone_rows(args) -> list:
@@ -251,7 +356,7 @@ def _kc_monotone_rows(args) -> list:
 
 
 def verify_kc_monotone(
-    max_n: int, max_len: int, kind: str = "closed", workers: int = 1
+    max_n: int, max_len: int, kind: str = "closed", workers: int = 1, emit=None
 ) -> VerificationReport:
     """Counts of the given kind ('closed', 'all', or 'both') must never
     decrease under any single end-to-end path move, over every tree up to
@@ -263,7 +368,7 @@ def verify_kc_monotone(
     _require("workers", workers, 1)
     kinds = ("closed", "all") if kind == "both" else (kind,)
     report = VerificationReport(scope={"max_n": max_n, "max_len": max_len, "kind": kind})
-    return _sweep_trees(report, _kc_monotone_rows, max_n, (max_len, kinds), workers)
+    return _sweep_trees(report, emit, _kc_monotone_rows, max_n, (max_len, kinds), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +378,7 @@ def verify_kc_monotone(
 _INJECTION_SCOPE = "f,g,h,lemmas"
 
 
-def verify_injections(max_n: int, max_len: int, workers: int = 1) -> VerificationReport:
+def verify_injections(max_n: int, max_len: int, workers: int = 1, emit=None) -> VerificationReport:
     """Exhaustively check injectivity, validity, length- and
     type-preservation of the word maps over every context from trees up to
     max_n, plus the endpoint-swap counting inequalities.  The per-tree
@@ -287,7 +392,7 @@ def verify_injections(max_n: int, max_len: int, workers: int = 1) -> Verificatio
     report = VerificationReport(
         scope={"max_n": max_n, "max_len": max_len, "suites": _INJECTION_SCOPE}
     )
-    return _sweep_trees(report, injection_rows, max_n, (max_len,), workers)
+    return _sweep_trees(report, emit, injection_rows, max_n, (max_len,), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -358,49 +463,48 @@ def build_counterexample(c, k: int, ell: int) -> CounterexampleResult:
 # Fixed-length path extremality
 
 
-def verify_path_extremal(max_n: int, ell: int) -> VerificationReport:
+def verify_path_extremal(max_n: int, ell: int, emit=None) -> VerificationReport:
     """For each n <= max_n the maximum count of length-ell paths over all
     trees must equal the best multi-broom value (even ell) or the balanced
-    double-broom formula (odd ell)."""
+    double-broom formula (odd ell).  One block of checks per n goes to
+    ``emit`` (see ``_stream``)."""
     from .generate import enumerate_free_trees, p_broom
     from .walks import count_ell_paths
 
     _require("ell", ell, 2)
     _require("max_n", max_n, 1)
     report = VerificationReport(scope={"max_n": max_n, "ell": ell})
-    for n in range(1, max_n + 1):
-        trees = enumerate_free_trees(n)
-        values = {canonical_code(t): count_ell_paths(t, ell) for t in trees}
-        vmax = max(values.values())
-        argmax = sorted(c for c, v in values.items() if v == vmax)
-        base = f"n={n:02d} len={ell:02d}"
-        report.extremal_witnesses[base] = {"max": argmax, "value": vmax}
-        if ell == 2:
-            expect = (n - 1) * (n - 2) // 2
-            report.checks.append(
-                Check(n, ell, "star-formula", vmax, expect, "==", vmax == expect)
-            )
-        elif ell % 2 == 0:
-            best = 0
-            p = 1
-            while n >= 1 + p * (ell - 2) // 2 + p:
-                best = max(best, count_ell_paths(p_broom(n, ell, p), ell))
-                p += 1
-            report.checks.append(
-                Check(n, ell, "broom-max", vmax, best, "==", vmax == best)
-            )
-        else:
-            extra = max(n - ell + 1, 0)
-            expect = (extra // 2) * (extra - extra // 2)
-            report.checks.append(
-                Check(n, ell, "double-broom-max", vmax, expect, "==", vmax == expect)
-            )
-            if ell == 3:
-                expect3 = (n - 2) ** 2 // 4 if n >= 2 else 0
-                report.checks.append(
-                    Check(n, ell, "square-formula", vmax, expect3, "==", vmax == expect3)
-                )
-    return report.finalize()
+
+    def blocks():
+        for n in range(1, max_n + 1):
+            trees = enumerate_free_trees(n)
+            values = {canonical_code(t): count_ell_paths(t, ell) for t in trees}
+            vmax = max(values.values())
+            argmax = sorted(c for c, v in values.items() if v == vmax)
+            base = f"n={n:02d} len={ell:02d}"
+            report.extremal_witnesses[base] = {"max": argmax, "value": vmax}
+            if ell == 2:
+                expect = (n - 1) * (n - 2) // 2
+                yield [Check(n, ell, "star-formula", vmax, expect, "==", vmax == expect)]
+            elif ell % 2 == 0:
+                best = 0
+                p = 1
+                while n >= 1 + p * (ell - 2) // 2 + p:
+                    best = max(best, count_ell_paths(p_broom(n, ell, p), ell))
+                    p += 1
+                yield [Check(n, ell, "broom-max", vmax, best, "==", vmax == best)]
+            else:
+                extra = max(n - ell + 1, 0)
+                expect = (extra // 2) * (extra - extra // 2)
+                checks = [Check(n, ell, "double-broom-max", vmax, expect, "==", vmax == expect)]
+                if ell == 3:
+                    expect3 = (n - 2) ** 2 // 4 if n >= 2 else 0
+                    checks.append(
+                        Check(n, ell, "square-formula", vmax, expect3, "==", vmax == expect3)
+                    )
+                yield checks
+
+    return _stream(report, blocks(), emit)
 
 
 # ---------------------------------------------------------------------------

@@ -745,8 +745,12 @@ def _mirror(letters: list[Letter]) -> dict[Letter, Letter]:
 
 def g_even(ctx: PathContext, word: Word) -> Word:
     """Even-k endpoint swap on the B-side subgraph: split at the walk's
-    first visit to the path midpoint and conjugate the head.  Self-inverse
-    between the p_0- and p_k-rooted word sets that touch B."""
+    first visit to the path midpoint p_(k/2) and conjugate the head.
+
+    Self-inverse between the p_0-rooted words that touch B (each crosses
+    the midpoint on its way to B) and the p_k-rooted words that touch B and
+    reach the midpoint.  A p_k-rooted word that never reaches it, such as
+    one that stays in B, is outside the domain and raises ValueError."""
     if ctx.k % 2 != 0:
         raise ValueError("g_even needs a path of even length")
     if any(kind == "a" for kind, _ in word):

@@ -1,17 +1,28 @@
 """CLI tests: golden stdout digests on fixed scopes (recorded before the
 per-length walk kernels replaced the per-call counters, so they pin that
-refactor as byte-identical), exit codes, and error text."""
+refactor as byte-identical), exit codes, error text, and the streamed
+sweep output against the collected reports."""
 
 import hashlib
 import os
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
 import treewalks
 from treewalks.cli import main
 from treewalks.trees import parse_tree_text
+from treewalks.verify import (
+    report_to_csv,
+    report_to_json,
+    report_to_summary,
+    verify_closed_extremal,
+    verify_injections,
+    verify_kc_monotone,
+    verify_path_extremal,
+)
 from treewalks.walks import wiener
 
 FIXED_TREE = "14\n0 1\n1 2\n2 3\n3 4\n1 5\n1 6\n2 7\n7 8\n7 9\n9 10\n4 11\n4 12\n12 13\n"
@@ -130,6 +141,12 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(treewalks.__file__))
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
 @pytest.fixture
 def fixed_tree(tmp_path):
     path = tmp_path / "fixed.tree"
@@ -159,6 +176,14 @@ def test_golden_injections(argv, digest, capsys):
 def test_injections_two_workers_match_one(argv, capsys):
     scope = ["--max-n", "5", "--max-len", "3"]
     outputs = [run(argv + scope + ["--workers", w], capsys) for w in ("1", "2")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kc_monotone_two_workers_match_one(fmt, capsys):
+    argv = ["verify", "kc-monotone", "--max-n", "6", "--max-len", "4", "--format", fmt]
+    outputs = [run(argv + ["--workers", w], capsys) for w in ("1", "2")]
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0
 
@@ -220,14 +245,11 @@ def test_missing_file_prints_error(tmp_path, capsys):
 
 def test_missing_file_process_exit_code(tmp_path):
     missing = str(tmp_path / "missing.tree")
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(treewalks.__file__))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "treewalks.cli", "kc", "--tree", missing, "--x", "0", "--y", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -243,14 +265,11 @@ def test_non_utf8_file_names_the_file(tmp_path, capsys):
 
 
 def test_python_m_treewalks_matches_cli_module():
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(treewalks.__file__))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     results = []
     for module in ("treewalks", "treewalks.cli"):
         for argv in (["enumerate", "--n", "6"], ["enumerate", "--n", "13"]):
             proc = subprocess.run(
-                [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+                [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=_child_env()
             )
             results.append((proc.returncode, proc.stdout, proc.stderr))
     assert results[:2] == results[2:]
@@ -415,6 +434,17 @@ GOLDEN_VIOLATIONS = [
         ["verify", "injections", "--max-n", "5", "--max-len", "3", "--format", "summary"],
         "77c9e94a856d12a48fd2064f0a9ebdb28ac6f103e2e95cf9cbeff6d5f93d545c",
     ),
+    # recorded before the per-tree sweeps streamed their checks tree by tree
+    (
+        _path_profiles_bumped,
+        ["verify", "kc-monotone", "--max-n", "6", "--max-len", "6", "--kind", "both"],
+        "02fd884caaec0f4e53b42283075e671f0ce5b95ab7f0a1bbc16bfd95121fa23b",
+    ),
+    (
+        _path_profiles_bumped,
+        ["verify", "kc-monotone", "--max-n", "6", "--max-len", "6", "--kind", "both", "--format", "json"],
+        "a37f5411c6959cf6e21166ca8a65b86a03a1d608d6cb2091f41cd6ffe7253a75",
+    ),
 ]
 
 
@@ -426,3 +456,88 @@ def test_golden_violations(patch, argv, digest, monkeypatch, capsys):
     code, out, err = run(argv, capsys)
     assert (code, err) == (1, "")
     assert sha256(out) == digest
+
+
+# ---------------------------------------------------------------------------
+# Streaming: every sweep hands its checks over in sorted blocks (one per tree
+# or per order), and the CLI writes each block as it comes.  The oracle is
+# the collected report of the same sweep run through the format's writer.
+
+# (CLI arguments, the same sweep as a library call, its formats)
+STREAMS = [
+    (
+        ["verify", "kc-monotone", "--max-n", "7", "--max-len", "6"],
+        partial(verify_kc_monotone, 7, 6, kind="both"),
+        ("csv", "json"),
+    ),
+    (
+        ["verify", "injections", "--max-n", "5", "--max-len", "3"],
+        partial(verify_injections, 5, 3),
+        ("csv", "json", "summary"),
+    ),
+    (
+        ["verify", "closed-extremal", "--max-n", "8", "--max-len", "8"],
+        partial(verify_closed_extremal, 8, 8),
+        ("csv", "json"),
+    ),
+    (["verify", "path-extremal", "--max-n", "8", "--len", "3"], partial(verify_path_extremal, 8, 3), ("csv", "json")),
+    (["verify", "path-extremal", "--max-n", "8", "--len", "6"], partial(verify_path_extremal, 8, 6), ("csv", "json")),
+]
+WRITERS = {"csv": report_to_csv, "json": report_to_json, "summary": report_to_summary}
+STREAM_FORMATS = [(argv, sweep, fmt) for argv, sweep, formats in STREAMS for fmt in formats]
+
+
+@pytest.mark.parametrize(
+    "argv,sweep,fmt", STREAM_FORMATS, ids=[" ".join(a) + f" {f}" for a, _, f in STREAM_FORMATS]
+)
+def test_streamed_stdout_matches_collected_report(argv, sweep, fmt, capsys):
+    code, out, err = run(argv + ["--format", fmt], capsys)
+    report = sweep()
+    assert (code, err) == (0 if report.ok else 1, "")
+    assert out == WRITERS[fmt](report)
+
+
+@pytest.mark.parametrize("argv,sweep", [s[:2] for s in STREAMS], ids=[" ".join(s[0]) for s in STREAMS])
+def test_sweep_streams_sorted_blocks(argv, sweep):
+    blocks = []
+    streamed = sweep(emit=blocks.append)
+    assert streamed.checks == []
+    firsts = [block[0].instance for block in blocks]
+    assert all(a < b for a, b in zip(firsts, firsts[1:]))
+    for block in blocks:
+        instances = [c.instance for c in block]
+        assert instances == sorted(instances)
+    assert [c for block in blocks for c in block] == sweep().checks
+
+
+# Runs the command in its arguments as a child with stdout to the null device
+# and prints the child's exit code and peak RSS in KiB (from os.wait4).  The
+# test process does not wait4 its own children for this: Linux carries the
+# peak of the address space a child replaces at exec into the child's
+# ru_maxrss, and the test process is larger than any command measured here.
+_PEAK_RSS = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mib(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True, text=True, env=_child_env()
+    )
+    code, kib = map(int, proc.stdout.split())
+    assert (proc.returncode, code) == (0, 0)
+    return kib / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_kc_monotone_peak_memory_stays_near_import_baseline():
+    # the sweep writes each tree's checks as they come, so its peak stays
+    # within a few MiB of a child that only imports the CLI (the collected
+    # report of this scope took about 19 MiB more)
+    baseline = _peak_rss_mib(["-c", "import treewalks.cli"])
+    sweep = _peak_rss_mib(["-m", "treewalks.cli", "verify", "kc-monotone", "--max-n", "10", "--max-len", "8"])
+    assert sweep - baseline <= 8

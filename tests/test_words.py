@@ -499,6 +499,12 @@ class TestGMaps:
         with pytest.raises(ValueError):
             g_even(k2, parse_word("c1 c2"))
 
+    def test_g_even_rejects_pk_words_that_miss_the_midpoint(self):
+        # on 0-1-2-3 with bare path (0, 2), b1 steps from p_2 into B and
+        # never visits the midpoint p_1
+        with pytest.raises(ValueError, match="never visits the path midpoint"):
+            g_even(build_context(path_tree(4), 0, 2), (("b", 1),))
+
     def test_g_even_involution(self):
         for ctx in all_contexts(6, skip_trivial_b=True):
             if ctx.k % 2 != 0:
