@@ -56,8 +56,9 @@ def injection_rows(args) -> list:
             words, closed = t_sets[ell]
             # the B-side T-words from p0, shared by the g maps and the lemmas
             b_p0 = words_of(ctx, HOST_T, ell, start=ctx.p0, part="B")
-            rows.extend(_check_f(ctx, check, words, closed))
-            rows.extend(_check_h(ctx, check, words, t2_sets[ell][0]))
+            f_rows, f_tested = _check_f(ctx, check, words, closed)
+            rows.extend(f_rows)
+            rows.extend(_check_h(ctx, check, words, t2_sets[ell][0], f_tested))
             rows.extend(_check_g(ctx, check, ell, b_p0))
             rows.extend(_check_lemmas(ctx, check, ell, b_p0))
     return rows
@@ -89,20 +90,29 @@ _F_OPEN_TYPES = (WordType.T0, WordType.T11, WordType.T12)
 
 
 def _check_f(ctx, check, words, closed):
+    """The two f checks, and the f-general verdicts keyed by (word, image)
+    for _check_h to reuse."""
     open_dom = [w for w in words if _word_type(ctx, w) in _F_OPEN_TYPES]
     closed_images = [f_map(ctx, w, closed=True) for w in closed]
     open_images = [f_map(ctx, w, closed=False) for w in open_dom]
     closed_tests = [_image_ok(ctx, w, i, True) for w, i in zip(closed, closed_images)]
     open_tests = [_image_ok(ctx, w, i, False) for w, i in zip(open_dom, open_images)]
-    return [
+    rows = [
         _injective(check, "f-closed-inject", closed, closed_images, closed_tests),
         _injective(check, "f-general-inject", open_dom, open_images, open_tests),
     ]
+    return rows, dict(zip(zip(open_dom, open_images), open_tests))
 
 
-def _check_h(ctx, check, words, t2_words):
+def _check_h(ctx, check, words, t2_words, f_tested):
+    """The h checks.  h_map gives the f-image on the f-general domain, so
+    an image already tested there takes that verdict; any other image,
+    including one that differs from the tested f-image, is tested here."""
     images = [h_map(ctx, w) for w in words]
-    tests = [_image_ok(ctx, w, i, False) for w, i in zip(words, images)]
+    tests = [
+        f_tested[w, i] if (w, i) in f_tested else _image_ok(ctx, w, i, False)
+        for w, i in zip(words, images)
+    ]
     rows = [_injective(check, "h-inject", words, images, tests)]
     if words:
         rows.append(

@@ -14,7 +14,6 @@ __all__ = [
     "Valency",
     "bare_paths",
     "dc_transform",
-    "is_bare_path",
     "kc_moves",
     "kc_transform",
     "valency",
@@ -53,10 +52,6 @@ def _path_if_bare(t: Tree, x: int, y: int) -> tuple[int, ...] | None:
         if t.degree(v) != 2:
             return None
     return path
-
-
-def is_bare_path(t: Tree, x: int, y: int) -> bool:
-    return _path_if_bare(t, x, y) is not None
 
 
 def bare_paths(t: Tree) -> list[BarePath]:

@@ -245,9 +245,23 @@ def _require(name: str, value: int, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _require_max_n(max_n: int, least: int) -> None:
+    """Reject a max_n under which a sweep would check nothing or past the
+    enumeration cap, before the sweep emits its first block."""
+    from .generate import MAX_FREE_TREE_N
+
+    _require("max_n", max_n, least)
+    if max_n > MAX_FREE_TREE_N:
+        raise ValueError(f"max_n must be <= {MAX_FREE_TREE_N}, got {max_n}")
+
+
 def _pmap(fn, items, workers: int):
     """fn over items, yielded lazily and in item order, in ``workers``
-    processes; the order does not depend on the worker count."""
+    processes, at most one per CPU; the order does not depend on the
+    worker count."""
+    import os
+
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         yield from map(fn, items)
         return
@@ -282,7 +296,7 @@ def verify_closed_extremal(max_n: int, max_len: int, emit=None) -> VerificationR
     from .generate import enumerate_free_trees, path_tree, star_tree
     from .walks import closed_walk_profile
 
-    _require("max_n", max_n, 1)
+    _require_max_n(max_n, 1)
     _require("max_len", max_len, 2)
     report = VerificationReport(scope={"max_n": max_n, "max_len": max_len})
 
@@ -363,7 +377,7 @@ def verify_kc_monotone(
     max_n and every bare path.  'both' checks the two kinds in one pass."""
     if kind not in ("closed", "all", "both"):
         raise ValueError(f"kind must be 'closed', 'all' or 'both', got {kind!r}")
-    _require("max_n", max_n, 2)
+    _require_max_n(max_n, 2)
     _require("max_len", max_len, 1)
     _require("workers", workers, 1)
     kinds = ("closed", "all") if kind == "both" else (kind,)
@@ -386,7 +400,7 @@ def verify_injections(max_n: int, max_len: int, workers: int = 1, emit=None) -> 
     other sweeps never load the word layer."""
     from .injections import injection_rows
 
-    _require("max_n", max_n, 2)
+    _require_max_n(max_n, 2)
     _require("max_len", max_len, 1)
     _require("workers", workers, 1)
     report = VerificationReport(
@@ -472,7 +486,7 @@ def verify_path_extremal(max_n: int, ell: int, emit=None) -> VerificationReport:
     from .walks import count_ell_paths
 
     _require("ell", ell, 2)
-    _require("max_n", max_n, 1)
+    _require_max_n(max_n, 1)
     report = VerificationReport(scope={"max_n": max_n, "ell": ell})
 
     def blocks():

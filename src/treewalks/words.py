@@ -24,15 +24,14 @@ The maps:
 
 * f_map rewrites a T-word into a T'-word of the same length and type.  It
   is total on T0/T11/T12 and on closed words of types T21/T22, injective on
-  each type, and maps closed words to closed words.  f_inverse undoes it on
-  the image.
+  each type, and maps closed words to closed words.
 * g_even / g_odd are self-inverse swaps between walk words rooted at the
-  two path endpoints inside the B-side subgraph.  Both cut the walk at its
-  first visit to a middle vertex of the path.  Even k cuts at p_(k/2) and
-  conjugates the head.  Odd k extends the path by one designated
-  B-neighbor u of p_k, cuts at p_((k+1)/2), and maps the head through the
-  mirror of the extended path: the letter table that swaps c_1..c_k,u
-  end for end.
+  two path endpoints inside the B-side subgraph.  Both take one reflection
+  step: cut the walk at its first visit to the midpoint of a path of even
+  length and map the head through that path's mirror, the letter table
+  that swaps its letters end for end.  Even k reflects through c_1..c_k
+  itself (its mirror is conjugation), cutting at p_(k/2).  Odd k extends
+  the path by one designated B-neighbor u of p_k and cuts at p_((k+1)/2).
 * g_total composes these into an injection from p_0-rooted B-side T-words
   that touch B into their T'-side counterparts.  g_total_aside is the
   mirror for the A-side: it swaps p_k-rooted A-side words that touch A
@@ -47,16 +46,17 @@ part).  word_sets fills the decode memo and the type table as it grows
 the walks; a word it has not seen is classified on demand and not stored.
 The memos live exactly as long as their context (a sweep builds one
 context per tree and bare path and drops it after the last length), and
-they sit under the validations, never in place of them: f_map, f_inverse
-and h_map still check that their input decodes and that its type is in
-the domain before a memoized result is returned, and decode_word hands
-out a fresh list.
+they sit under the validations, never in place of them: f_map and h_map
+still check that their input decodes and that its type is in the domain
+before a memoized result is returned, and decode_word hands out a fresh
+list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from .transforms import _kc_along, _path_if_bare
 from .trees import Tree
@@ -74,22 +74,18 @@ __all__ = [
     "block_decompose",
     "build_context",
     "classify",
-    "closed_words",
     "conjugate",
     "decode_word",
     "encode_walk",
-    "f_inverse",
     "f_map",
     "g_even",
     "g_odd",
     "g_total",
     "g_total_aside",
     "h_map",
-    "is_closed_word",
     "parse_word",
     "reverse",
     "split_c_block",
-    "validate_word",
     "word_sets",
     "word_to_str",
     "words_of",
@@ -301,10 +297,6 @@ def _decoded(ctx: PathContext, word: Word, host: str) -> tuple[Walk, ...]:
     return walks
 
 
-def is_closed_word(ctx: PathContext, word: Word, host: str) -> bool:
-    return any(w[0] == w[-1] for w in _decoded(ctx, word, host))
-
-
 @dataclass(frozen=True)
 class Block:
     kind: str  # 'A' | 'B' | 'C'
@@ -407,94 +399,26 @@ def reverse(word: Word) -> Word:
     return tuple(reversed(word))
 
 
-_SPLIT_MODES = {
-    # mode: (start is p0?, target is p0?, use first visit?)
-    "last-visit-p0": (True, True, False),
-    "last-visit-pk": (False, False, False),
-    "first-visit-pk": (True, False, True),
-}
+# mode -> the path end the walk starts at and is cut at
+_SPLIT_ENDS = {"last-visit-p0": 0, "last-visit-pk": -1}
 
 
 def split_c_block(ctx: PathContext, cblock: Word, mode: str) -> tuple[Word, Word]:
-    """Split a path-walk word at a distinguished visit of its walk.
-
-    The walk's start vertex is implied by the mode: p_0 for all modes
-    except last-visit-pk, which starts at p_k.
-    """
+    """Split a path-walk word at its walk's last visit to the path end it
+    starts from: p_0 for mode last-visit-p0, p_k for last-visit-pk."""
     try:
-        from_p0, to_p0, first = _SPLIT_MODES[mode]
+        end = ctx.path[_SPLIT_ENDS[mode]]
     except KeyError:
         raise ValueError(f"unknown split mode {mode!r}") from None
     if any(kind != "c" for kind, _ in cblock):
         raise ValueError("split_c_block takes pure path words")
-    target = ctx.p0 if to_p0 else ctx.pk
-    start = ctx.p0 if from_p0 else ctx.pk
-    positions = _trace(ctx, cblock, start, HOST_T)
+    positions = _trace(ctx, cblock, end, HOST_T)
     if positions is None:
         raise ValueError(
             f"not a path-walk word from the start implied by mode {mode!r}"
         )
-    hits = [i for i, p in enumerate(positions) if p == target]
-    if not hits:
-        raise ValueError(f"the walk never visits the {mode!r} target")
-    cut = hits[0] if first else hits[-1]
+    cut = len(positions) - 1 - positions[::-1].index(end)
     return cblock[:cut], cblock[cut:]
-
-
-def validate_word(ctx: PathContext, word: Word, host: str) -> bool:
-    """Check the block grammar: every block must be a walk word of its side
-    subgraph with the endpoint conditions its position forces.  At the
-    junctions, host T needs a C-run between consecutive non-C blocks (A
-    hangs at p_0 and B at p_k, which differ); in host T' an A-block and a
-    B-block may meet at p_0.  Complete: a word passes iff it decodes in the
-    host."""
-    if not word:
-        return False
-    seq = block_decompose(word)
-    blocks = seq.blocks
-    p0, pk = ctx.p0, ctx.pk
-    # In the transform every non-path branch hangs at p_0.
-    a_anchor = p0
-    b_anchor = pk if host == HOST_T else p0
-    for i, blk in enumerate(blocks):
-        first_b, last_b = i == 0, i == len(blocks) - 1
-        if blk.kind == "C":
-            if host == HOST_T:
-                prev = blocks[i - 1].kind if not first_b else None
-                nxt = blocks[i + 1].kind if not last_b else None
-                need_start = {None: None, "A": p0, "B": pk}[prev]
-                need_end = {None: None, "A": p0, "B": pk}[nxt]
-            else:
-                need_start = None if first_b else p0
-                need_end = None if last_b else p0
-        else:
-            # blocks are maximal, so a non-C predecessor is the other kind
-            if host == HOST_T and not first_b and blocks[i - 1].kind != "C":
-                return False
-            anchor = a_anchor if blk.kind == "A" else b_anchor
-            need_start = None if first_b else anchor
-            need_end = None if last_b else anchor
-        if not _block_ok(ctx, blk.letters, host, need_start, need_end):
-            return False
-    return True
-
-
-def _block_ok(
-    ctx: PathContext,
-    letters: Word,
-    host: str,
-    need_start: int | None,
-    need_end: int | None,
-) -> bool:
-    edge = ctx.edge_of(letters[0], host)
-    if edge is None:
-        return False
-    starts = [need_start] if need_start is not None else sorted(edge)
-    for s in starts:
-        positions = _trace(ctx, letters, s, host)
-        if positions is not None and (need_end is None or positions[-1] == need_end):
-            return True
-    return False
 
 
 def words_of(
@@ -576,13 +500,8 @@ def word_sets(
     return sets
 
 
-def closed_words(ctx: PathContext, host: str, length: int) -> set[Word]:
-    """Host words of the given length encoding at least one closed walk."""
-    return word_sets(ctx, host, length)[length][1]
-
-
-# The injective maps.  f_map operates per type with two symmetric block
-# surgeries; see the module docstring for the shape of the construction.
+# The injective maps; see the module docstring for the shape of the
+# construction.
 
 
 def f_map(ctx: PathContext, word: Word, closed: bool = False) -> Word:
@@ -609,111 +528,42 @@ def _f_image(ctx: PathContext, word: Word, wtype: WordType) -> Word:
         return word
     image = ctx._f_images.get(word)
     if image is None:
-        a_first = wtype is WordType.T11 or wtype is WordType.T21
-        surgery = _f_a_first if a_first else _f_b_first
-        image = ctx._f_images[word] = surgery(ctx, word)
+        lead = "A" if wtype is WordType.T11 or wtype is WordType.T21 else "B"
+        image = ctx._f_images[word] = _f_surgery(ctx, word, lead)
     return image
 
 
-def _f_a_first(ctx: PathContext, word: Word) -> Word:
-    """Surgery for words whose first non-C block is an A-block: split each
-    C-run that leads from an A-block to a B-block at its walk's last visit
-    to p_0, conjugate the B-block, and append the conjugated reversal of
-    the split tail after it."""
-    blocks = block_decompose(word).blocks
-    out: list[Letter] = []
-    pending: Word | None = None
-    for i, blk in enumerate(blocks):
-        if blk.kind == "A":
-            out.extend(blk.letters)
-        elif blk.kind == "C":
-            if 0 < i < len(blocks) - 1 and blocks[i + 1].kind == "B":
-                left, right = split_c_block(ctx, blk.letters, "last-visit-p0")
-                out.extend(left)
-                pending = conjugate(ctx, reverse(right))
-            else:
-                out.extend(blk.letters)
-        else:
-            out.extend(conjugate(ctx, blk.letters))
-            assert pending is not None, "B-block without a leading C-run"
-            out.extend(pending)
-            pending = None
-    return tuple(out)
-
-
-def _f_b_first(ctx: PathContext, word: Word) -> Word:
-    """Mirror surgery for words starting on the B-side: conjugate B-blocks
-    and plain C-runs, split B-to-A runs at the last visit to p_k, emit the
-    conjugated head before the A-block and the reversed tail after it."""
-    blocks = block_decompose(word).blocks
-    out: list[Letter] = []
-    pending: Word | None = None
-    for i, blk in enumerate(blocks):
-        if blk.kind == "B":
-            out.extend(conjugate(ctx, blk.letters))
-        elif blk.kind == "C":
-            if 0 < i < len(blocks) - 1 and blocks[i + 1].kind == "A":
-                left, right = split_c_block(ctx, blk.letters, "last-visit-pk")
-                out.extend(conjugate(ctx, left))
-                pending = reverse(right)
-            else:
-                out.extend(conjugate(ctx, blk.letters))
-        else:
-            out.extend(blk.letters)
-            assert pending is not None, "A-block without a leading C-run"
-            out.extend(pending)
-            pending = None
-    return tuple(out)
-
-
-def f_inverse(ctx: PathContext, word: Word, closed: bool = False) -> Word:
-    """Left inverse of f_map: defined on the image, recovers the original
-    by splitting the merged C-runs at the first visit to p_k."""
-    if not word:
-        raise ValueError("cannot map an empty word")
-    if not _decoded(ctx, word, HOST_T2):
-        raise ValueError("word is not valid in the transformed tree")
-    wtype = _word_type(ctx, word)
-    if wtype is WordType.T0:
-        return word
-    if wtype in (WordType.T21, WordType.T22) and not closed:
-        raise ValueError(f"type {wtype.value} words are only mapped when closed")
-    blocks = block_decompose(word).blocks
-    out: list[Letter] = []
-    i = 0
-    if wtype in (WordType.T11, WordType.T21):
-        while i < len(blocks):
-            blk = blocks[i]
-            if blk.kind != "B":
-                out.extend(blk.letters)
-                i += 1
-                continue
-            if i + 1 >= len(blocks) or blocks[i + 1].kind != "C":
-                raise ValueError("word is not in the image of the map")
-            head, tail = split_c_block(ctx, blocks[i + 1].letters, "first-visit-pk")
-            out.extend(conjugate(ctx, reverse(head)))
-            out.extend(conjugate(ctx, blk.letters))
-            out.extend(tail)
-            i += 2
+def _f_surgery(ctx: PathContext, word: Word, lead: str) -> Word:
+    """The block surgery of f_map on a word whose first non-C block has
+    kind `lead` ('A' or 'B').  Each C-run that leads from a lead-side block
+    to an other-side block is split at its walk's last visit to the lead
+    side's path end (p_0 for A, p_k for B); the head stays in place and the
+    reversed tail follows the other-side block.  When A leads, lead-side
+    blocks, plain C-runs and heads keep their letters while other-side
+    blocks and tails are conjugated; when B leads it is the other way
+    round."""
+    # tuple() leaves a word as it is
+    if lead == "A":
+        other, mode = "B", "last-visit-p0"
+        keep, swap = tuple, partial(conjugate, ctx)
     else:
-        while i < len(blocks):
-            blk = blocks[i]
-            if blk.kind == "B":
-                out.extend(conjugate(ctx, blk.letters))
-                i += 1
-            elif blk.kind == "C":
-                out.extend(conjugate(ctx, blk.letters))
-                i += 1
-            else:
-                if i + 1 >= len(blocks) or blocks[i + 1].kind != "C":
-                    raise ValueError("word is not in the image of the map")
-                head, tail = split_c_block(
-                    ctx, blocks[i + 1].letters, "first-visit-pk"
-                )
-                out.extend(reverse(head))
-                out.extend(blk.letters)
-                out.extend(conjugate(ctx, tail))
-                i += 2
+        other, mode = "A", "last-visit-pk"
+        keep, swap = partial(conjugate, ctx), tuple
+    blocks = block_decompose(word).blocks
+    out: list[Letter] = []
+    pending: Word | None = None
+    for i, blk in enumerate(blocks):
+        if blk.kind == other:
+            out.extend(swap(blk.letters))
+            assert pending is not None, "other-side block without a leading C-run"
+            out.extend(pending)
+            pending = None
+        elif blk.kind == "C" and 0 < i < len(blocks) - 1 and blocks[i + 1].kind == other:
+            left, right = split_c_block(ctx, blk.letters, mode)
+            out.extend(keep(left))
+            pending = swap(reverse(right))
+        else:
+            out.extend(keep(blk.letters))
     return tuple(out)
 
 
@@ -728,24 +578,36 @@ def _locate_b_side(ctx: PathContext, word: Word, starts: tuple[int, ...]) -> tup
     )
 
 
-def _first_visit(positions: tuple[int, ...], v: int, what: str) -> int:
-    """The index of the walk's first visit to v, which is named `what` in
-    the error when the walk never gets there."""
-    try:
-        return positions.index(v)
-    except ValueError:
-        raise ValueError(f"the walk never visits the {what}") from None
-
-
 def _mirror(letters: list[Letter]) -> dict[Letter, Letter]:
     """The letter involution that reverses a path spelled by distinct
-    letters: the i-th letter swaps with the i-th from the end."""
+    letters: the i-th letter swaps with the i-th from the end.  The mirror
+    of c_1..c_k is conjugation."""
     return dict(zip(letters, reversed(letters)))
+
+
+def _path_letters(ctx: PathContext) -> list[Letter]:
+    return [("c", i) for i in range(1, ctx.k + 1)]
+
+
+def _reflect(
+    word: Word, positions: tuple[int, ...], midpoint: int, letters: list[Letter]
+) -> Word:
+    """The reflection step of the g maps: cut the walk (its vertex
+    positions) at its first visit to midpoint, the middle vertex of the
+    even-length path spelled by letters, and map the head through that
+    path's mirror."""
+    try:
+        cut = positions.index(midpoint)
+    except ValueError:
+        raise ValueError("the walk never visits the path midpoint") from None
+    table = _mirror(letters)
+    return tuple(table.get(letter, letter) for letter in word[:cut]) + word[cut:]
 
 
 def g_even(ctx: PathContext, word: Word) -> Word:
     """Even-k endpoint swap on the B-side subgraph: split at the walk's
-    first visit to the path midpoint p_(k/2) and conjugate the head.
+    first visit to the path midpoint p_(k/2) and conjugate the head (the
+    reflection step through c_1..c_k).
 
     Self-inverse between the p_0-rooted words that touch B (each crosses
     the midpoint on its way to B) and the p_k-rooted words that touch B and
@@ -758,8 +620,7 @@ def g_even(ctx: PathContext, word: Word) -> Word:
     if not any(kind == "b" for kind, _ in word):
         raise ValueError("word lacks a b-letter")
     positions = _locate_b_side(ctx, word, (ctx.p0, ctx.pk))
-    cut = _first_visit(positions, ctx.path[ctx.k // 2], "path midpoint")
-    return conjugate(ctx, word[:cut]) + word[cut:]
+    return _reflect(word, positions, ctx.path[ctx.k // 2], _path_letters(ctx))
 
 
 def g_odd(ctx: PathContext, word: Word, u: int) -> Word:
@@ -776,11 +637,8 @@ def g_odd(ctx: PathContext, word: Word, u: int) -> Word:
     if not any(kind == "b" for kind, _ in word):
         raise ValueError("word lacks a b-letter")
     positions = _locate_b_side(ctx, word, (ctx.path[1], ctx.pk))
-    cut = _first_visit(positions, ctx.path[(ctx.k + 1) // 2], "reflection midpoint")
-    path = [("c", i) for i in range(1, ctx.k + 1)]
-    table = _mirror(path + [ctx.label_of(ctx.pk, u, HOST_T)])
-    head = tuple(table.get(letter, letter) for letter in word[:cut])
-    return head + word[cut:]
+    letters = _path_letters(ctx) + [ctx.label_of(ctx.pk, u, HOST_T)]
+    return _reflect(word, positions, ctx.path[(ctx.k + 1) // 2], letters)
 
 
 def g_total(ctx: PathContext, word: Word) -> Word:
@@ -817,18 +675,13 @@ def g_total_aside(ctx: PathContext, word: Word) -> Word:
         raise ValueError("word is not an A-side walk word from p_k")
     k = ctx.k
     if k % 2 == 0:
-        cut = _first_visit(positions, ctx.path[k // 2], "path midpoint")
-        return conjugate(ctx, word[:cut]) + word[cut:]
+        return _reflect(word, positions, ctx.path[k // 2], _path_letters(ctx))
     # Odd k: strip the forced leading c_k, reflect through the path
     # u,p_0..p_k extended by the smallest A-neighbor u of p_0, then restore
     # the length.
     u = min(ctx.a_neighbors_of_p0())
-    path = [("c", i) for i in range(1, k + 1)]
-    table = _mirror([ctx.label_of(ctx.p0, u, HOST_T)] + path)
-    rest = word[1:]
-    cut = _first_visit(positions[1:], ctx.path[(k - 1) // 2], "reflection midpoint")
-    head = tuple(table.get(letter, letter) for letter in rest[:cut])
-    image = head + rest[cut:]
+    letters = [ctx.label_of(ctx.p0, u, HOST_T)] + _path_letters(ctx)
+    image = _reflect(word[1:], positions[1:], ctx.path[(k - 1) // 2], letters)
     return image + (image[-1],)
 
 

@@ -380,6 +380,22 @@ def test_empty_scope_exits_two(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+OVER_CAP = [
+    ["verify", "closed-extremal", "--max-n", "13", "--max-len", "2"],
+    ["verify", "kc-monotone", "--max-n", "13", "--max-len", "2"],
+    ["verify", "injections", "--max-n", "13", "--max-len", "1"],
+    ["verify", "path-extremal", "--max-n", "13", "--len", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", OVER_CAP, ids=" ".join)
+def test_scope_past_enumeration_cap_exits_two(argv, capsys):
+    # rejected when the sweep starts, before it writes any block
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: max_n must be <= 12, got 13\n"
+
+
 # ---------------------------------------------------------------------------
 # Violation goldens: no golden scope above contains a failing check, so these
 # break the library on purpose and pin how failures are written (the JSON

@@ -152,6 +152,22 @@ PUBLIC_API = {
 }
 PUBLIC_NAMES = [(module, name) for module, names in PUBLIC_API.items() for name in names]
 
+# The ``__all__`` of the word layer and of the move layer, pinned so that
+# their public names change only on purpose.
+MODULE_ALL = {
+    "transforms": [
+        "BarePath", "Valency", "bare_paths", "dc_transform", "kc_moves",
+        "kc_transform", "valency",
+    ],
+    "words": [
+        "Block", "BlockSeq", "HOST_T", "HOST_T2", "Letter", "PathContext",
+        "Word", "WordType", "block_decompose", "build_context", "classify",
+        "conjugate", "decode_word", "encode_walk", "f_map", "g_even", "g_odd",
+        "g_total", "g_total_aside", "h_map", "parse_word", "reverse",
+        "split_c_block", "word_sets", "word_to_str", "words_of",
+    ],
+}
+
 
 class TestPublicApi:
     @pytest.mark.parametrize("module,name", PUBLIC_NAMES, ids=[n for _, n in PUBLIC_NAMES])
@@ -165,6 +181,12 @@ class TestPublicApi:
         for module, name in PUBLIC_NAMES:
             assert namespace[name] is getattr(importlib.import_module(f"treewalks.{module}"), name)
         assert sorted(treewalks.__all__) == sorted(name for _, name in PUBLIC_NAMES)
+
+    @pytest.mark.parametrize("module", sorted(MODULE_ALL))
+    def test_module_all_is_pinned(self, module):
+        defining = importlib.import_module(f"treewalks.{module}")
+        assert sorted(defining.__all__) == sorted(MODULE_ALL[module])
+        assert all(hasattr(defining, name) for name in defining.__all__)
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

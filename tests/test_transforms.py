@@ -12,7 +12,6 @@ from treewalks.generate import (
 from treewalks.transforms import (
     bare_paths,
     dc_transform,
-    is_bare_path,
     kc_moves,
     kc_transform,
     valency,
@@ -41,12 +40,8 @@ class TestBarePaths:
 
     @staticmethod
     def pair_oracle(t):
-        return [
-            tree_path(t, x, y)
-            for x in range(t.n)
-            for y in range(x + 1, t.n)
-            if is_bare_path(t, x, y)
-        ]
+        paths = (tree_path(t, x, y) for x in range(t.n) for y in range(x + 1, t.n))
+        return [p for p in paths if all(t.degree(v) == 2 for v in p[1:-1])]
 
     def test_matches_pair_oracle_on_free_trees(self):
         for n in range(2, 11):
@@ -116,10 +111,9 @@ class TestKcMoves:
         for n in range(2, 9):
             for t in enumerate_free_trees(n):
                 expected = {
-                    canonical_code(kc_transform(t, x, y))
-                    for x in range(n)
-                    for y in range(n)
-                    if x != y and is_bare_path(t, x, y)
+                    canonical_code(kc_transform(t, *ends))
+                    for path in TestBarePaths.pair_oracle(t)
+                    for ends in ((path[0], path[-1]), (path[-1], path[0]))
                 }
                 assert kc_moves(t) == expected
 

@@ -309,6 +309,74 @@ class TestInjectionSuites:
         verify_injections(5, 3)
         assert calls == []
 
+    def test_h_check_tests_images_that_differ_from_the_f_image(self, monkeypatch):
+        # the h check reuses an f-general verdict only for the same (word,
+        # image) pair; here every all-c1 word, an f-general word, has an
+        # h-image one letter short of its f-image, which must fail h-inject
+        from treewalks import injections
+
+        real = injections.h_map
+
+        def h_map(ctx, word):
+            image = real(ctx, word)
+            return image[:-1] if set(word) == {("c", 1)} else image
+
+        monkeypatch.setattr(injections, "h_map", h_map)
+        report = verify_injections(5, 3)
+        h_checks = [c for c in report.checks if c.name == "h-inject"]
+        assert h_checks and not any(c.passed for c in h_checks)
+        assert all(c.lhs == c.rhs for c in h_checks)  # still injective
+        assert all(c.passed for c in report.checks if c.name.startswith("f-"))
+
+
+class TestWorkerPool:
+    """``--workers`` is clamped to the CPU count.  A recording executor
+    stands in for the process pool, so these start no process."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        return sizes
+
+    def test_workers_clamp_to_cpu_count(self, pools, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert list(verify._pmap(abs, [-1, 2, -3], 5000)) == [1, 2, 3]
+        assert pools == [3]
+
+    def test_unknown_cpu_count_runs_in_process(self, pools, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert list(verify._pmap(abs, [-1, 2, -3], 5000)) == [1, 2, 3]
+        assert pools == []
+
+    def test_clamped_sweep_matches_one_worker(self, pools, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        wide = verify_kc_monotone(5, 3, workers=5000).checks
+        assert pools == [2]
+        assert wide == verify_kc_monotone(5, 3, workers=1).checks
+
 
 # ---------------------------------------------------------------------------
 # Scopes that would check nothing are rejected (see test_cli.py); the
