@@ -4,7 +4,11 @@ in the library modules.
 
 Subcommands:
 
-- ``enumerate --n N``: every free tree of order N (edgelist, pruefer or dot).
+- ``enumerate --n N``: every free tree of order N (edgelist, pruefer or dot),
+  one per isomorphism class, in canonical-code order; tree i of this list
+  is tree ``t=i`` of the per-tree sweeps.  Each is labeled by
+  ``generate.leaf_rooted``: rooted at a leaf as vertex 0 and numbered in
+  preorder, larger subtrees first.
 - ``count --kind closed|all|paths|wiener [--len L] FILE...``: exact counts.
 - ``kc --tree FILE (--x X --y Y | --list-moves)``: the end-to-end path move.
 - ``verify closed-extremal|kc-monotone|injections|path-extremal``: the
@@ -144,10 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    from .generate import enumerate_free_trees
+    from .generate import enumerate_free_trees, leaf_rooted
 
     out = []
-    for t in enumerate_free_trees(args.n):
+    for t in map(leaf_rooted, enumerate_free_trees(args.n)):
         out.append(_emit_tree(t, args.format))
     sys.stdout.write("".join(out))
     return 0

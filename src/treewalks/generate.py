@@ -1,10 +1,17 @@
 """Tree generation: the Pruefer correspondence, free-tree enumeration,
 and the named parametric families (paths, stars, brooms and relatives).
+
+``enumerate_free_trees`` builds each free tree once, by the
+Wright-Richmond-Odlyzko-McKay generator over level sequences, and sorts
+the classes by canonical code.  Its trees are numbered in level-sequence
+preorder.  ``leaf_rooted`` relabels a tree to the representative that
+``treewalks enumerate`` prints and the per-tree sweeps name vertices by:
+rooted at a leaf, numbered in preorder with larger subtrees first.  Only
+output that prints labels needs it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -18,13 +25,14 @@ __all__ = [
     "double_broom_walks",
     "enumerate_free_trees",
     "from_pruefer",
+    "leaf_rooted",
     "p_broom",
     "path_tree",
     "star_tree",
     "to_pruefer",
 ]
 
-MAX_FREE_TREE_N = 12
+MAX_FREE_TREE_N = 16
 
 
 def from_pruefer(seq: tuple[int, ...] | list[int], n: int) -> Tree:
@@ -96,66 +104,143 @@ def all_labeled_trees(n: int) -> Iterator[Tree]:
         yield from_pruefer(seq, n)
 
 
-# Free trees are enumerated through non-isomorphic rooted trees: a rooted
-# tree is a canonical tuple of child subtrees, and a multiset of subtrees is
-# generated in nonincreasing (size, index) order so each shape appears once.
+# Free trees come from the Wright-Richmond-Odlyzko-McKay generator
+# ("Constant time generation of free trees", SIAM J. Comput. 15, 1986).  A
+# rooted tree is written as its level sequence: the depth of each vertex in
+# preorder, with the children of every vertex ordered so that the sequence
+# is the lexicographically largest one of its rooted tree.  Beyer and
+# Hedetniemi's successor steps through those sequences in decreasing order.
+# A sequence stands for a free tree when its root is the center: the root's
+# first subtree is no taller than the rest of the tree, and on a tie (a
+# central edge) it is no larger in (size, sequence).  When the first subtree
+# fails that test, every later sequence that keeps it fails too, so the
+# generator jumps past them all.
 
 
-@lru_cache(maxsize=None)
-def _rooted_shapes(size: int) -> tuple:
-    if size == 1:
-        return ((),)
-    prev = _rooted_shapes(size - 1)
-    return tuple(_forests(size - 1, size - 1, len(prev) - 1))
+def _split(levels: list[int]) -> tuple[list[int], list[int]]:
+    """The level sequences of the root's first subtree (rooted at its own
+    root) and of the tree without that subtree."""
+    m = next((i for i in range(2, len(levels)) if levels[i] == 1), len(levels))
+    return [d - 1 for d in levels[1:m]], [0] + levels[m:]
 
 
-@lru_cache(maxsize=None)
-def _forests(total: int, max_size: int, max_index: int) -> tuple:
-    """Forests (tuples of rooted shapes) of given total size whose items are
-    <= (max_size, max_index) in the generation order, nonincreasing."""
-    if total == 0:
-        return ((),)
-    out = []
-    for size in range(min(total, max_size), 0, -1):
-        shapes = _rooted_shapes(size)
-        top = max_index if size == max_size else len(shapes) - 1
-        for idx in range(top, -1, -1):
-            for rest in _forests(total - size, size, idx):
-                out.append((shapes[idx],) + rest)
-    return tuple(out)
+def _successor(levels: list[int], p: int) -> list[int] | None:
+    """The next sequence after every sequence that shares levels[:p+1],
+    or None past the last one (Beyer-Hedetniemi)."""
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = levels[:p]
+    for i in range(p, len(levels)):
+        out.append(out[i - p + q])
+    return out
 
 
-def _shape_edges(shape: tuple) -> list[tuple[int, int]]:
-    edges: list[tuple[int, int]] = []
-    counter = [0]
+def _free_level_sequences(n: int) -> Iterator[list[int]]:
+    """The level sequence of each free tree on n >= 2 vertices, once."""
+    levels: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        first, rest = _split(levels)
+        h1, h2 = max(first), max(rest)
+        free = h1 < h2 or (h1 == h2 and (len(first), first) <= (len(rest), rest))
+        if free:
+            yield levels
+            p = next((i for i in range(n - 1, 0, -1) if levels[i] > 1), 0)
+        else:
+            p = len(first)
+        deep = not free and levels[p] > 2
+        levels = _successor(levels, p)
+        if deep:
+            # the copy step put every later vertex inside the first subtree,
+            # so the rest is a bare root and fails; skip on to the sequence
+            # whose tail is a branch as tall as that subtree, 1, 2, ..., h + 1
+            h = max(_split(levels)[0])
+            levels[n - h - 1:] = range(1, h + 2)
 
-    def walk(node: tuple, my_id: int) -> None:
-        for child in node:
-            counter[0] += 1
-            cid = counter[0]
-            edges.append((my_id, cid))
-            walk(child, cid)
 
-    walk(shape, 0)
-    return edges
+def _level_tree(levels: list[int]) -> Tree:
+    """The tree of a level sequence, vertices numbered in preorder."""
+    edges = []
+    spine: list[int] = []  # spine[d]: the latest vertex at depth d
+    for v, d in enumerate(levels):
+        del spine[d:]
+        if d:
+            edges.append((spine[d - 1], v))
+        spine.append(v)
+    return tree(len(levels), edges)
 
 
 def enumerate_free_trees(n: int) -> list[Tree]:
     """One representative per isomorphism class of trees on n vertices,
-    sorted by canonical code."""
+    sorted by canonical code.
+
+    Each representative is numbered in the preorder of its level sequence,
+    rooted at a center; ``leaf_rooted`` gives the labels that ``enumerate``
+    and the per-tree sweeps print."""
     if not (1 <= n <= MAX_FREE_TREE_N):
         raise ValueError(f"n must be in 1..{MAX_FREE_TREE_N}, got {n}")
     if n == 1:
         return [tree(1, [])]
-    # Every class with n >= 2 has a leaf, so rooting it there gives a shape
-    # (child,).  Those leaf-rooted shapes are the first entries of
-    # _rooted_shapes(n), in the order of reversed(_rooted_shapes(n - 1)),
-    # so building only them keeps the same first occurrence of each class.
-    by_code: dict[str, Tree] = {}
-    for child in reversed(_rooted_shapes(n - 1)):
-        t = tree(n, _shape_edges((child,)))
-        by_code.setdefault(canonical_code(t), t)
-    return [by_code[c] for c in sorted(by_code)]
+    return sorted(map(_level_tree, _free_level_sequences(n)), key=canonical_code)
+
+
+def leaf_rooted(t: Tree) -> Tree:
+    """The labeled representative of t's class that ``enumerate`` prints.
+
+    Root t at a leaf and number its vertices in preorder, the children of
+    each vertex in descending (size, index) order.  The index ranks the
+    rooted trees of one size: a larger index has the smaller sequence of
+    its children's (size, index) pairs, listed in descending order.  Of the
+    leaves, the one whose hanging subtree (the tree less the leaf, rooted
+    at its neighbor) has the largest index is the root.  Indices are
+    compared through their ranks among the subtrees of t itself, so no
+    table of rooted trees is built.  Isomorphic trees give the same labeled
+    tree."""
+    if t.n == 1:
+        return t
+    n, adj = t.n, t.adjacency
+    parent = [-1] * n
+    order = [0]
+    for v in order:
+        for c in adj[v]:
+            if c != parent[v]:
+                parent[c] = v
+                order.append(c)
+    below = [1] * n
+    for v in reversed(order[1:]):
+        below[parent[v]] += below[v]
+    # each directed edge (u, v) stands for the subtree at v away from u
+    size: dict[tuple[int, int], int] = {}
+    by_size: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for v in order[1:]:
+        u, s = parent[v], below[v]
+        size[u, v], size[v, u] = s, n - s
+        by_size[s].append((u, v))
+        by_size[n - s].append((v, u))
+    rank: dict[tuple[int, int], int] = {}
+    kids: dict[tuple[int, int], list] = {}  # (size, rank, child), descending
+    for group in by_size:
+        seqs = {}
+        for edge in group:
+            u, v = edge
+            kids[edge] = sorted(
+                [(size[v, c], rank[v, c], c) for c in adj[v] if c != u], reverse=True
+            )
+            seqs[edge] = tuple([k[:2] for k in kids[edge]])
+        ranks = {seq: r for r, seq in enumerate(sorted(set(seqs.values()), reverse=True))}
+        for edge, seq in seqs.items():
+            rank[edge] = ranks[seq]
+    root = max(t.leaves(), key=lambda leaf: rank[leaf, adj[leaf][0]])
+    edges = []
+    stack = [(adj[root][0], root, 0)]  # (vertex, its parent, parent's label)
+    while stack:
+        v, u, up = stack.pop()
+        label = len(edges) + 1
+        edges.append((up, label))
+        stack.extend([(k[2], v, label) for k in reversed(kids[u, v])])
+    return tree(n, edges)
 
 
 # Named families.  Path lengths count edges throughout.

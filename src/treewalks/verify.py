@@ -66,7 +66,9 @@ class Check:
         n=NN t=TTT path=v0-v1-...-vk len=LL name  (per-tree checks)
 
     with zero-padded n, t and ell; reports sort and print by that string,
-    which each record renders once.
+    which each record renders once.  ``t`` has 3 digits up to n = 12 and
+    past it as many as the largest index of its order needs
+    (``_INDEX_DIGITS``), so one order's strings sort in index order.
     """
 
     n: int
@@ -88,9 +90,16 @@ class Check:
                 text = f"n={self.n:02d} len={self.ell:02d} {self.name}"
             else:
                 pid = "-".join(map(str, self.path))
-                text = f"n={self.n:02d} t={self.tree:03d} path={pid} len={self.ell:02d} {self.name}"
+                index = str(self.tree).zfill(_INDEX_DIGITS.get(self.n, 3))
+                text = f"n={self.n:02d} t={index} path={pid} len={self.ell:02d} {self.name}"
             self._instance = text
         return text
+
+
+# Digits of the tree index ``t`` for the orders whose largest index needs
+# more than 3 (the free trees number 1,301, 3,159, 7,741 and 19,320 there);
+# every other order prints 3.
+_INDEX_DIGITS = {13: 4, 14: 4, 15: 4, 16: 5}
 
 
 @dataclass
@@ -201,7 +210,7 @@ class _SummaryWriter(_Writer):
             if not c.passed:
                 row[2] += 1
         return "".join(
-            f"{n:02d}/{index:03d},{'-'.join(map(str, path))},{ell},{domain},{image},{violations}\n"
+            f"{n:02d}/{str(index).zfill(_INDEX_DIGITS.get(n, 3))},{'-'.join(map(str, path))},{ell},{domain},{image},{violations}\n"
             for (n, index, path, ell), (domain, image, violations) in cells.items()
         )
 
@@ -332,11 +341,13 @@ def verify_closed_extremal(max_n: int, max_len: int, emit=None) -> VerificationR
 def _sweep_trees(report, emit, rows_fn, max_n: int, args: tuple, workers: int) -> VerificationReport:
     """The per-tree sweep driver: enumerate every free tree of order
     2..max_n, run ``rows_fn((tree, index, *args))`` on each (in ``workers``
-    processes), and stream each tree's checks in (n, index) order."""
-    from .generate import enumerate_free_trees
+    processes), and stream each tree's checks in (n, index) order.  Each
+    tree carries the labels ``enumerate`` prints (``leaf_rooted``), since
+    the checks name its vertices."""
+    from .generate import enumerate_free_trees, leaf_rooted
 
     jobs = (
-        (t, index, *args)
+        (leaf_rooted(t), index, *args)
         for n in range(2, max_n + 1)
         for index, t in enumerate(enumerate_free_trees(n))
     )

@@ -4,6 +4,12 @@ from hypothesis import strategies as st
 from treewalks.generate import from_pruefer
 from treewalks.trees import Tree, tree
 
+# OEIS A000055, the number of free trees on n vertices, for n = 0..20
+A000055 = (
+    1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741,
+    19320, 48629, 123867, 317955, 823065,
+)
+
 
 @st.composite
 def trees(draw, min_n: int = 1, max_n: int = 8) -> Tree:

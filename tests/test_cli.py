@@ -196,9 +196,16 @@ def test_golden_enumerate(n, digest, capsys):
 
 
 def test_enumerate_rejects_n_past_cap(capsys):
-    code, out, err = run(["enumerate", "--n", "13"], capsys)
+    code, out, err = run(["enumerate", "--n", "17"], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: n must be in 1..12, got 13\n"
+    assert err == "error: n must be in 1..16, got 17\n"
+
+
+def test_enumerate_past_twelve(capsys):
+    code, out, err = run(["enumerate", "--n", "13", "--format", "pruefer"], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == len(set(lines)) == 1301
 
 
 @pytest.mark.parametrize("kind,length,digest", GOLDEN_COUNTS)
@@ -267,7 +274,7 @@ def test_non_utf8_file_names_the_file(tmp_path, capsys):
 def test_python_m_treewalks_matches_cli_module():
     results = []
     for module in ("treewalks", "treewalks.cli"):
-        for argv in (["enumerate", "--n", "6"], ["enumerate", "--n", "13"]):
+        for argv in (["enumerate", "--n", "6"], ["enumerate", "--n", "17"]):
             proc = subprocess.run(
                 [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=_child_env()
             )
@@ -381,10 +388,10 @@ def test_empty_scope_exits_two(argv, message, capsys):
 
 
 OVER_CAP = [
-    ["verify", "closed-extremal", "--max-n", "13", "--max-len", "2"],
-    ["verify", "kc-monotone", "--max-n", "13", "--max-len", "2"],
-    ["verify", "injections", "--max-n", "13", "--max-len", "1"],
-    ["verify", "path-extremal", "--max-n", "13", "--len", "2"],
+    ["verify", "closed-extremal", "--max-n", "17", "--max-len", "2"],
+    ["verify", "kc-monotone", "--max-n", "17", "--max-len", "2"],
+    ["verify", "injections", "--max-n", "17", "--max-len", "1"],
+    ["verify", "path-extremal", "--max-n", "17", "--len", "2"],
 ]
 
 
@@ -393,7 +400,7 @@ def test_scope_past_enumeration_cap_exits_two(argv, capsys):
     # rejected when the sweep starts, before it writes any block
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
-    assert err == "error: max_n must be <= 12, got 13\n"
+    assert err == "error: max_n must be <= 16, got 17\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treewalks import generate
 from treewalks.generate import (
+    MAX_FREE_TREE_N,
     all_labeled_trees,
     broom,
     double_broom_paths,
     double_broom_walks,
     enumerate_free_trees,
     from_pruefer,
+    leaf_rooted,
     p_broom,
     path_tree,
     star_tree,
@@ -18,7 +22,7 @@ from treewalks.generate import (
 )
 from treewalks.trees import canonical_code, is_isomorphic, tree
 
-from conftest import trees
+from conftest import A000055, trees
 
 # computed by Pruefer enumeration plus canonical deduplication (see
 # test_free_counts_match_pruefer_oracle), not copied from anywhere
@@ -88,7 +92,76 @@ class TestFreeTreeEnumeration:
 
     def test_limit(self):
         with pytest.raises(ValueError):
-            enumerate_free_trees(13)
+            enumerate_free_trees(17)
+
+    @pytest.mark.parametrize("n", range(1, MAX_FREE_TREE_N + 1))
+    def test_one_tree_per_class_up_to_cap(self, n):
+        codes = [canonical_code(t) for t in enumerate_free_trees(n)]
+        assert len(codes) == A000055[n]
+        assert codes == sorted(set(codes))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_classes_match_networkx(self, n):
+        def as_tree(g):
+            return tree(g.number_of_nodes(), g.edges())
+
+        oracle = (
+            {canonical_code(as_tree(g)) for g in nx.nonisomorphic_trees(n)}
+            if n > 1
+            else {canonical_code(tree(1, []))}
+        )
+        assert {canonical_code(t) for t in enumerate_free_trees(n)} == oracle
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_builds_each_tree_once(self, n, monkeypatch):
+        built = []
+
+        def counting_tree(order, edges):
+            built.append(order)
+            return tree(order, edges)
+
+        monkeypatch.setattr(generate, "tree", counting_tree)
+        assert len(enumerate_free_trees(n)) == len(built) == A000055[n]
+
+
+def _relabel(t, perm):
+    return tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
+
+
+class TestLeafRooted:
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_every_relabeling_gives_one_tree(self, data):
+        t = data.draw(trees(min_n=1, max_n=14))
+        perm = data.draw(st.permutations(range(t.n)))
+        rep = leaf_rooted(t)
+        assert leaf_rooted(_relabel(t, perm)) == rep
+        assert is_isomorphic(rep, t)
+
+    def test_root_is_a_leaf_numbered_first(self):
+        for t in enumerate_free_trees(9):
+            rep = leaf_rooted(t)
+            assert rep.degree(0) == 1 and rep.neighbors(0) == (1,)
+            assert leaf_rooted(rep) == rep
+
+    def test_small_orders(self):
+        assert leaf_rooted(tree(1, [])) == tree(1, [])
+        assert leaf_rooted(tree(2, [(0, 1)])) == tree(2, [(0, 1)])
+
+    def test_tall_and_wide_trees(self):
+        # no recursion: a 2,000-vertex path is rooted at an end
+        assert leaf_rooted(_relabel(path_tree(2000), list(range(1999, -1, -1)))) == path_tree(2000)
+        assert leaf_rooted(star_tree(50)) == tree(50, [(0, 1)] + [(1, v) for v in range(2, 50)])
+
+    def test_children_in_descending_size(self):
+        # spider with legs of 1, 2 and 3 edges at vertex 0.  Of the three
+        # hanging subtrees, the one at leaf 1 has the largest index: its
+        # root's largest child has 3 vertices, the others' have 5.  Vertex 0
+        # then numbers its 3-edge leg before its 2-edge leg.
+        spider = tree(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+        assert leaf_rooted(spider) == tree(
+            7, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6)]
+        )
 
 
 class TestFamilies:

@@ -4,6 +4,7 @@ import pytest
 
 from treewalks import transforms, trees, verify, words
 from treewalks.generate import (
+    MAX_FREE_TREE_N,
     double_broom_paths,
     enumerate_free_trees,
     from_pruefer,
@@ -28,6 +29,8 @@ from treewalks.verify import (
 )
 from treewalks.walks import count_ell_paths
 
+from conftest import A000055
+
 
 class TestCheckRecords:
     def test_instance_forms(self):
@@ -36,6 +39,18 @@ class TestCheckRecords:
         assert whole.instance == "n=07 len=04 star-max"
         assert per_tree.instance == "n=07 t=012 path=10-2-3 len=04 h-inject"
         assert per_tree == Check(7, 4, "h-inject", 3, 3, "==", True, tree=12, path=(10, 2, 3))
+
+    def test_index_width_past_twelve(self):
+        def per_tree(n, index):
+            return Check(n, 2, "closed", 1, 1, "<=", True, tree=index, path=(0, 1))
+
+        assert per_tree(13, 1000).instance == "n=13 t=1000 path=0-1 len=02 closed"
+        assert per_tree(16, 7).instance == "n=16 t=00007 path=0-1 len=02 closed"
+        for n in range(2, MAX_FREE_TREE_N + 1):
+            indices = sorted({0, 9, 10, 99, 100, 999, 1000, 9999, 10000, A000055[n] - 1})
+            names = [per_tree(n, i).instance for i in indices if i < A000055[n]]
+            assert names == sorted(names)
+            assert len({len(name) for name in names}) == 1
 
     def test_summary_groups_checks_by_cell(self):
         cell = {"tree": 1, "path": (0, 1)}
@@ -381,6 +396,11 @@ class TestWorkerPool:
 # ---------------------------------------------------------------------------
 # Scopes that would check nothing are rejected (see test_cli.py); the
 # smallest accepted ones check something
+
+
+def test_whole_order_sweeps_past_twelve():
+    assert verify_closed_extremal(13, 6).ok
+    assert verify_path_extremal(14, 6).ok
 
 
 def test_smallest_scopes_check_something():

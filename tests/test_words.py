@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from treewalks.generate import enumerate_free_trees, path_tree
+from treewalks.generate import enumerate_free_trees, leaf_rooted, path_tree
 from treewalks.transforms import bare_paths
 from treewalks.trees import tree
 from treewalks.walks import count_closed_walks, count_walks, enumerate_walks
@@ -51,7 +51,7 @@ def k3():
 
 def all_contexts(max_n, skip_trivial_b=False):
     for n in range(2, max_n + 1):
-        for t in enumerate_free_trees(n):
+        for t in map(leaf_rooted, enumerate_free_trees(n)):
             for bp in bare_paths(t):
                 ctx = build_context(t, *bp.endpoints)
                 if skip_trivial_b and not ctx.b_component - {ctx.pk}:
