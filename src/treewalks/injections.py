@@ -26,7 +26,6 @@ from .words import (
     WordType,
     _decoded,
     _trace,
-    _word_type,
     build_context,
     f_map,
     g_even,
@@ -75,7 +74,8 @@ def _injective(check, name, domain, images, tests):
 def _image_ok(ctx, word, image, require_closed):
     if len(image) != len(word):
         return False
-    if _word_type(ctx, image) is not _word_type(ctx, word):
+    types = ctx._types
+    if types[image] is not types[word]:
         return False
     walks = _decoded(ctx, image, HOST_T2)
     if not walks:
@@ -90,9 +90,10 @@ _F_OPEN_TYPES = (WordType.T0, WordType.T11, WordType.T12)
 
 
 def _check_f(ctx, check, words, closed):
-    """The two f checks, and the f-general verdicts keyed by (word, image)
-    for _check_h to reuse."""
-    open_dom = [w for w in words if _word_type(ctx, w) in _F_OPEN_TYPES]
+    """The two f checks, and each f-general word's image and verdict, keyed
+    by the word, for _check_h to reuse."""
+    types = ctx._types
+    open_dom = [w for w in words if types[w] in _F_OPEN_TYPES]
     closed_images = [f_map(ctx, w, closed=True) for w in closed]
     open_images = [f_map(ctx, w, closed=False) for w in open_dom]
     closed_tests = [_image_ok(ctx, w, i, True) for w, i in zip(closed, closed_images)]
@@ -101,7 +102,7 @@ def _check_f(ctx, check, words, closed):
         _injective(check, "f-closed-inject", closed, closed_images, closed_tests),
         _injective(check, "f-general-inject", open_dom, open_images, open_tests),
     ]
-    return rows, dict(zip(zip(open_dom, open_images), open_tests))
+    return rows, dict(zip(open_dom, zip(open_images, open_tests)))
 
 
 def _check_h(ctx, check, words, t2_words, f_tested):
@@ -110,7 +111,9 @@ def _check_h(ctx, check, words, t2_words, f_tested):
     including one that differs from the tested f-image, is tested here."""
     images = [h_map(ctx, w) for w in words]
     tests = [
-        f_tested[w, i] if (w, i) in f_tested else _image_ok(ctx, w, i, False)
+        tested[1]
+        if (tested := f_tested.get(w)) is not None and tested[0] == i
+        else _image_ok(ctx, w, i, False)
         for w, i in zip(words, images)
     ]
     rows = [_injective(check, "h-inject", words, images, tests)]

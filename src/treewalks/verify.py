@@ -359,19 +359,27 @@ def _kc_monotone_rows(args) -> list:
 
     t, index, max_len, kinds = args
     profiles = {"closed": closed_walk_profile, "all": walk_profile}
-    cache: dict[str, dict] = {}
 
     def vectors(tr: Tree) -> dict:
-        code = canonical_code(tr)
-        if code not in cache:
-            cache[code] = {kind: profiles[kind](tr, max_len)[1:] for kind in kinds}
-        return cache[code]
+        return {kind: profiles[kind](tr, max_len)[1:] for kind in kinds}
 
+    # The base tree is new (leaf_rooted), so its code would be a cache miss.
+    # A move along a path with a leaf end gives the base tree back (y a
+    # leaf) or its path reflected end for end (x a leaf).  Other moved
+    # trees are keyed by class, since several moves may give the same one.
+    cache: dict[str, dict] = {}
     rows = []
     base = vectors(t)
     for bp in bare_paths(t):
         path = bp.vertices
-        moved = vectors(_kc_along(t, path))
+        if t.degree(path[0]) == 1 or t.degree(path[-1]) == 1:
+            moved = base
+        else:
+            moved_tree = _kc_along(t, path)
+            code = canonical_code(moved_tree)
+            if code not in cache:
+                cache[code] = vectors(moved_tree)
+            moved = cache[code]
         for kind in kinds:
             before, after = base[kind], moved[kind]
             for ell in range(1, max_len + 1):
@@ -470,7 +478,8 @@ def build_counterexample(c, k: int, ell: int) -> CounterexampleResult:
         )
     t1 = broom(int(handle), int(leaves))
     t2 = double_broom_walks(k)
-    assert t1.n == t2.n == 2 * k + 1
+    if not t1.n == t2.n == 2 * k + 1:
+        raise RuntimeError(f"broom and double broom have {t1.n} and {t2.n} vertices, not {2 * k + 1}")
     return CounterexampleResult(
         c=c,
         k=k,

@@ -40,23 +40,38 @@ The maps:
 * h_map stitches f_map and the g-injections into a length- and
   type-preserving injection on all T-words.
 
-A PathContext memoizes the walks each (word, host) decodes to, each
-word's type, each f-image, and the labeled side adjacency of each (host,
-part).  word_sets fills the decode memo and the type table as it grows
-the walks; a word it has not seen is classified on demand and not stored.
-The memos live exactly as long as their context (a sweep builds one
-context per tree and bare path and drops it after the last length), and
-they sit under the validations, never in place of them: f_map and h_map
-still check that their input decodes and that its type is in the domain
-before a memoized result is returned, and decode_word hands out a fresh
-list.
+The maps read a word's blocks from one scan of its letters (_runs), as
+(kind, start, end) index ranges, and slice the word by them; no Block
+records are built.  block_decompose wraps the same scan.  The f-surgery
+splits a C-run by index arithmetic on path positions (c_j joins p_(j-1)
+and p_j), and a word with no letter of the other side has no C-run to
+split, so it is kept or conjugated whole.
+
+A PathContext builds a few tables once, each of O(k) letters or O(deg)
+vertices: the conjugation table (also the even-k mirror of the g maps),
+the B-side neighbors of p_k and the A-side neighbors of p_0, and, on
+first use, the mirror of each path extended by one edge for odd k.
+
+It also memoizes, per host, the walks each word decodes to
+(ctx._walks[host][word]), each word's type, each f-image, and the labeled
+side adjacency of each (host, part).  word_sets fills the decode memo and
+the type table as it grows the walks, and reads each walk's closedness
+from its two ends; a word it has not seen is classified on demand and not
+stored.  The memos live exactly as long as their context (a sweep builds
+one context per tree and bare path and drops it after the last length),
+and they sit under the validations, never in place of them: f_map and
+h_map still check that their input decodes and that its type is in the
+domain before a memoized result is returned, and decode_word hands out a
+fresh list.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from itertools import groupby
+from operator import itemgetter
 
 from .transforms import _kc_along, _path_if_bare
 from .trees import Tree
@@ -108,6 +123,14 @@ class WordType(Enum):
     T22 = "2.2"
 
 
+class _TypeTable(dict):
+    """word -> WordType, filled by word_sets; a word it has not typed is
+    classified on demand and not stored."""
+
+    def __missing__(self, word: Word) -> WordType:
+        return classify(word)
+
+
 @dataclass(frozen=True, eq=False)
 class PathContext:
     """A tree, a bare path p_0..p_k, the edge labeling it induces, and the
@@ -122,9 +145,14 @@ class PathContext:
     _edge_label_t2: dict = field(repr=False)
     _label_edge: dict = field(repr=False)  # Letter -> (u,v), host T
     _label_edge_t2: dict = field(repr=False)
+    # per-context tables, see the module docstring
+    _conjugation: dict = field(repr=False)  # c_i -> c_(k+1-i)
+    _b_neighbors: tuple = field(repr=False)  # B-side neighbors of p_k
+    _a_neighbors: tuple = field(repr=False)  # A-side neighbors of p_0
+    _mirrors: dict = field(default_factory=dict, repr=False)  # (end, u) -> mirror
     # memos, see the module docstring
-    _walks: dict = field(default_factory=dict, repr=False)  # (word, host) -> walks
-    _types: dict = field(default_factory=dict, repr=False)  # word -> WordType
+    _walks: dict = field(default_factory=lambda: defaultdict(dict), repr=False)  # host -> word -> walks
+    _types: dict = field(default_factory=_TypeTable, repr=False)  # word -> WordType
     _f_images: dict = field(default_factory=dict, repr=False)  # T-word -> f-image
     _adjacency: dict = field(default_factory=dict, repr=False)  # (host, part) -> lists
 
@@ -158,14 +186,10 @@ class PathContext:
         return table.get((min(u, v), max(u, v)))
 
     def b_neighbors_of_pk(self) -> tuple[int, ...]:
-        return tuple(
-            w for w in self.tree.neighbors(self.pk) if w in self.b_component
-        )
+        return self._b_neighbors
 
     def a_neighbors_of_p0(self) -> tuple[int, ...]:
-        return tuple(
-            w for w in self.tree.neighbors(self.p0) if w in self.a_component
-        )
+        return self._a_neighbors
 
 
 def _component(t: Tree, root: int, banned_edges: set) -> frozenset:
@@ -194,7 +218,8 @@ def build_context(t: Tree, x: int, y: int) -> PathContext:
     }
     a_comp = _component(t, path[0], path_edges)
     b_comp = _component(t, path[-1], path_edges)
-    assert not (a_comp & b_comp)
+    if a_comp & b_comp:
+        raise RuntimeError(f"path {path} does not separate its end components")
 
     edge_label: dict[tuple[int, int], Letter] = {}
     for i in range(len(path) - 1):
@@ -206,7 +231,8 @@ def build_context(t: Tree, x: int, y: int) -> PathContext:
     b_edges = sorted(e for e in t.edges if e[0] in b_comp and e[1] in b_comp)
     for i, e in enumerate(b_edges):
         edge_label[e] = ("b", i + 1)
-    assert len(edge_label) == t.n - 1
+    if len(edge_label) != t.n - 1:
+        raise RuntimeError(f"{len(edge_label)} labels for {t.n - 1} edges")
 
     t2 = _kc_along(t, path)
     p0, pk = path[0], path[-1]
@@ -217,7 +243,8 @@ def build_context(t: Tree, x: int, y: int) -> PathContext:
             edge_label_t2[(min(p0, w), max(p0, w))] = letter
         else:
             edge_label_t2[(u, v)] = letter
-    assert set(edge_label_t2) == set(t2.edges)
+    if set(edge_label_t2) != set(t2.edges):
+        raise RuntimeError("the inherited labeling does not cover the transform's edges")
 
     return PathContext(
         tree=t,
@@ -229,6 +256,9 @@ def build_context(t: Tree, x: int, y: int) -> PathContext:
         _edge_label_t2=edge_label_t2,
         _label_edge={v: k for k, v in edge_label.items()},
         _label_edge_t2={v: k for k, v in edge_label_t2.items()},
+        _conjugation=_mirror([("c", i) for i in range(1, len(path))]),
+        _b_neighbors=tuple(w for w in t.neighbors(pk) if w in b_comp),
+        _a_neighbors=tuple(w for w in t.neighbors(p0) if w in a_comp),
     )
 
 
@@ -287,13 +317,13 @@ def decode_word(ctx: PathContext, word: Word, host: str) -> list[Walk]:
 
 def _decoded(ctx: PathContext, word: Word, host: str) -> tuple[Walk, ...]:
     """decode_word's walks, memoized on the context."""
-    key = (word, host)
-    walks = ctx._walks.get(key)
+    memo = ctx._walks[host]
+    walks = memo.get(word)
     if walks is None:
         edge = ctx.edge_of(word[0], host) if word else None
         starts = sorted(edge) if edge is not None else ()
         traced = (_trace(ctx, word, start, host) for start in starts)
-        walks = ctx._walks[key] = tuple(p for p in traced if p is not None)
+        walks = memo[word] = tuple(p for p in traced if p is not None)
     return walks
 
 
@@ -323,27 +353,31 @@ class BlockSeq:
         return tuple(b.kind for b in self.blocks if b.kind != "C")
 
 
+def _runs(word: Word) -> list[tuple[str, int, int]]:
+    """The maximal blocks of a word as (kind, start, end) index ranges, from
+    one scan of its letters: each run of same-kind non-c letters, with the
+    c's between them, is one A- or B-block, and the c's left between
+    blocks and at the ends are C-blocks."""
+    runs = []
+    cursor = 0  # end of the last block
+    marks = [(i, kind) for i, (kind, _idx) in enumerate(word) if kind != "c"]
+    for kind, group in groupby(marks, key=itemgetter(1)):
+        group = list(group)
+        start, stop = group[0][0], group[-1][0] + 1
+        if cursor < start:
+            runs.append(("C", cursor, start))
+        runs.append((kind.upper(), start, stop))
+        cursor = stop
+    if cursor < len(word):
+        runs.append(("C", cursor, len(word)))
+    return runs
+
+
 def block_decompose(word: Word) -> BlockSeq:
     """The unique decomposition into maximal A-, B- and C-blocks."""
     if not word:
         raise ValueError("cannot decompose an empty word")
-    marks = [(i, letter[0]) for i, letter in enumerate(word) if letter[0] != "c"]
-    blocks: list[Block] = []
-    cursor = 0
-    i = 0
-    while i < len(marks):
-        j = i
-        while j + 1 < len(marks) and marks[j + 1][1] == marks[i][1]:
-            j += 1
-        start, end = marks[i][0], marks[j][0]
-        if cursor < start:
-            blocks.append(Block("C", word[cursor:start]))
-        blocks.append(Block(marks[i][1].upper(), word[start : end + 1]))
-        cursor = end + 1
-        i = j + 1
-    if cursor < len(word):
-        blocks.append(Block("C", word[cursor:]))
-    return BlockSeq(tuple(blocks))
+    return BlockSeq(tuple(Block(kind, word[lo:hi]) for kind, lo, hi in _runs(word)))
 
 
 def classify(word: Word) -> WordType:
@@ -357,13 +391,6 @@ def classify(word: Word) -> WordType:
     if first == "a":
         return WordType.T11 if last == "a" else WordType.T21
     return WordType.T12 if last == "b" else WordType.T22
-
-
-def _word_type(ctx: PathContext, word: Word) -> WordType:
-    """classify(word), read from the context's type table when word_sets
-    has filled it."""
-    wtype = ctx._types.get(word)
-    return wtype if wtype is not None else classify(word)
 
 
 # A word's first and last non-c kinds as one string ("" while it has
@@ -389,36 +416,50 @@ def conjugate(ctx: PathContext, word: Word) -> Word:
     """The involution c_i -> c_(k+1-i); a- and b-letters are unchanged.
     It identifies B-side words of the original tree with those of the
     transform."""
-    k = ctx.k
-    return tuple(
-        ("c", k + 1 - idx) if kind == "c" else (kind, idx) for kind, idx in word
-    )
+    get = ctx._conjugation.get
+    return tuple(map(get, word, word))
 
 
 def reverse(word: Word) -> Word:
     return tuple(reversed(word))
 
 
-# mode -> the path end the walk starts at and is cut at
-_SPLIT_ENDS = {"last-visit-p0": 0, "last-visit-pk": -1}
+# named by the path end the walk starts at and is cut at
+_SPLIT_MODES = ("last-visit-p0", "last-visit-pk")
 
 
 def split_c_block(ctx: PathContext, cblock: Word, mode: str) -> tuple[Word, Word]:
     """Split a path-walk word at its walk's last visit to the path end it
     starts from: p_0 for mode last-visit-p0, p_k for last-visit-pk."""
-    try:
-        end = ctx.path[_SPLIT_ENDS[mode]]
-    except KeyError:
-        raise ValueError(f"unknown split mode {mode!r}") from None
+    if mode not in _SPLIT_MODES:
+        raise ValueError(f"unknown split mode {mode!r}")
     if any(kind != "c" for kind, _ in cblock):
         raise ValueError("split_c_block takes pure path words")
-    positions = _trace(ctx, cblock, end, HOST_T)
-    if positions is None:
-        raise ValueError(
-            f"not a path-walk word from the start implied by mode {mode!r}"
-        )
-    cut = len(positions) - 1 - positions[::-1].index(end)
+    cut = _c_cut(cblock, 0, len(cblock), ctx.k, mode)
     return cblock[:cut], cblock[cut:]
+
+
+def _c_cut(word: Word, lo: int, hi: int, k: int, mode: str) -> int:
+    """Where split_c_block cuts the c-run word[lo:hi]: just past its walk's
+    last visit to the path end given by mode.  The walk is followed on path
+    positions, where c_j joins p_(j-1) and p_j; ValueError when the run
+    does not walk from that end."""
+    end = k if mode == "last-visit-pk" else 0
+    pos = end
+    cut = lo
+    for i in range(lo, hi):
+        j = word[i][1]
+        if pos == j - 1 and j <= k:
+            pos = j
+        elif pos == j and j > 0:
+            pos = j - 1
+        else:
+            raise ValueError(
+                f"not a path-walk word from the start implied by mode {mode!r}"
+            )
+        if pos == end:
+            cut = i + 1
+    return cut
 
 
 def words_of(
@@ -475,12 +516,14 @@ def word_sets(
     """For every length 0..max_len, the host words of that length and those
     among them that encode a closed walk, from one labeled walk enumeration
     out of every start vertex that grows all walks by one letter per level.
-    The walks found for each nonempty word go into the context's decode
-    memo, so decode_word on these words is a lookup.  Each walk carries its
-    word's first and last non-c kinds, so the word's type goes into the
-    context's type table at the cost of one lookup per letter."""
+    The walks found for each nonempty word go into the host's decode memo,
+    so decode_word on these words is a lookup, and a word is closed when
+    one of its walks ends where it starts.  Each walk carries its word's
+    first and last non-c kinds, so the word's type goes into the context's
+    type table at the cost of one lookup per letter."""
     adj = _side_adjacency(ctx, host, None)
     after = _KINDS_AFTER
+    memo, types = ctx._walks[host], ctx._types
     walks = [((v,), (), "") for v in range(len(adj))]  # (positions, word, kinds)
     sets = [({()}, {()})]
     for _ in range(max_len):
@@ -491,11 +534,17 @@ def word_sets(
         ]
         # walks stay sorted by start vertex, the order decode_word uses
         decoded: dict[Word, tuple[Walk, ...]] = {}
-        for positions, word, _kinds in walks:
-            decoded[word] = decoded.get(word, ()) + (positions,)
-        ctx._walks.update(((word, host), found) for word, found in decoded.items())
-        ctx._types.update((word, _TYPE_OF_KINDS[kinds]) for _p, word, kinds in walks)
-        closed = {w for w, found in decoded.items() if any(p[0] == p[-1] for p in found)}
+        closed: set[Word] = set()
+        for positions, word, kinds in walks:
+            found = decoded.get(word)
+            if found is None:
+                decoded[word] = (positions,)
+                types[word] = _TYPE_OF_KINDS[kinds]
+            else:
+                decoded[word] = found + (positions,)
+            if positions[0] == positions[-1]:
+                closed.add(word)
+        memo.update(decoded)
         sets.append((set(decoded), closed))
     return sets
 
@@ -515,7 +564,7 @@ def f_map(ctx: PathContext, word: Word, closed: bool = False) -> Word:
         raise ValueError("cannot map an empty word")
     if not _decoded(ctx, word, HOST_T):
         raise ValueError("word is not valid in the original tree")
-    wtype = _word_type(ctx, word)
+    wtype = ctx._types[word]
     if wtype in (WordType.T21, WordType.T22) and not closed:
         raise ValueError(f"type {wtype.value} words are only mapped when closed")
     return _f_image(ctx, word, wtype)
@@ -541,29 +590,34 @@ def _f_surgery(ctx: PathContext, word: Word, lead: str) -> Word:
     reversed tail follows the other-side block.  When A leads, lead-side
     blocks, plain C-runs and heads keep their letters while other-side
     blocks and tails are conjugated; when B leads it is the other way
-    round."""
-    # tuple() leaves a word as it is
+    round.  The blocks are read as index ranges of the word."""
+    get = ctx._conjugation.get
     if lead == "A":
-        other, mode = "B", "last-visit-p0"
-        keep, swap = tuple, partial(conjugate, ctx)
+        other, other_letter, mode, conjugate_kept = "B", "b", "last-visit-p0", False
     else:
-        other, mode = "A", "last-visit-pk"
-        keep, swap = partial(conjugate, ctx), tuple
-    blocks = block_decompose(word).blocks
+        other, other_letter, mode, conjugate_kept = "A", "a", "last-visit-pk", True
+    if other_letter not in map(itemgetter(0), word):
+        # no other-side block: nothing is split, every letter is kept
+        return tuple(map(get, word, word)) if conjugate_kept else word
+    runs = _runs(word)
+    last = len(runs) - 1
     out: list[Letter] = []
-    pending: Word | None = None
-    for i, blk in enumerate(blocks):
-        if blk.kind == other:
-            out.extend(swap(blk.letters))
-            assert pending is not None, "other-side block without a leading C-run"
+    pending: Word | None = None  # the swapped tail waiting for its block
+    for i, (kind, lo, hi) in enumerate(runs):
+        letters = word[lo:hi]
+        if kind == other:
+            if pending is None:
+                raise ValueError("other-side block without a leading C-run")
+            out.extend(letters if conjugate_kept else map(get, letters, letters))
             out.extend(pending)
             pending = None
-        elif blk.kind == "C" and 0 < i < len(blocks) - 1 and blocks[i + 1].kind == other:
-            left, right = split_c_block(ctx, blk.letters, mode)
-            out.extend(keep(left))
-            pending = swap(reverse(right))
+        elif kind == "C" and 0 < i < last and runs[i + 1][0] == other:
+            cut = _c_cut(word, lo, hi, ctx.k, mode)
+            head, tail = word[lo:cut], word[cut:hi][::-1]
+            out.extend(map(get, head, head) if conjugate_kept else head)
+            pending = tail if conjugate_kept else tuple(map(get, tail, tail))
         else:
-            out.extend(keep(blk.letters))
+            out.extend(map(get, letters, letters) if conjugate_kept else letters)
     return tuple(out)
 
 
@@ -585,23 +639,31 @@ def _mirror(letters: list[Letter]) -> dict[Letter, Letter]:
     return dict(zip(letters, reversed(letters)))
 
 
-def _path_letters(ctx: PathContext) -> list[Letter]:
-    return [("c", i) for i in range(1, ctx.k + 1)]
+def _extended_mirror(ctx: PathContext, end: int, u: int) -> dict[Letter, Letter]:
+    """The mirror of c_1..c_k extended at its end vertex `end` (p_0 or p_k)
+    by the edge to u, built once per (end, u) on the context."""
+    table = ctx._mirrors.get((end, u))
+    if table is None:
+        letters = [("c", i) for i in range(1, ctx.k + 1)]
+        edge = ctx.label_of(end, u, HOST_T)
+        letters = [edge] + letters if end == ctx.p0 else letters + [edge]
+        table = ctx._mirrors[end, u] = _mirror(letters)
+    return table
 
 
 def _reflect(
-    word: Word, positions: tuple[int, ...], midpoint: int, letters: list[Letter]
+    word: Word, positions: tuple[int, ...], midpoint: int, mirror: dict[Letter, Letter]
 ) -> Word:
     """The reflection step of the g maps: cut the walk (its vertex
     positions) at its first visit to midpoint, the middle vertex of the
-    even-length path spelled by letters, and map the head through that
-    path's mirror."""
+    even-length path whose letter table is mirror, and map the head
+    through it."""
     try:
         cut = positions.index(midpoint)
     except ValueError:
         raise ValueError("the walk never visits the path midpoint") from None
-    table = _mirror(letters)
-    return tuple(table.get(letter, letter) for letter in word[:cut]) + word[cut:]
+    head = word[:cut]
+    return tuple(map(mirror.get, head, head)) + word[cut:]
 
 
 def g_even(ctx: PathContext, word: Word) -> Word:
@@ -620,7 +682,7 @@ def g_even(ctx: PathContext, word: Word) -> Word:
     if not any(kind == "b" for kind, _ in word):
         raise ValueError("word lacks a b-letter")
     positions = _locate_b_side(ctx, word, (ctx.p0, ctx.pk))
-    return _reflect(word, positions, ctx.path[ctx.k // 2], _path_letters(ctx))
+    return _reflect(word, positions, ctx.path[ctx.k // 2], ctx._conjugation)
 
 
 def g_odd(ctx: PathContext, word: Word, u: int) -> Word:
@@ -637,8 +699,8 @@ def g_odd(ctx: PathContext, word: Word, u: int) -> Word:
     if not any(kind == "b" for kind, _ in word):
         raise ValueError("word lacks a b-letter")
     positions = _locate_b_side(ctx, word, (ctx.path[1], ctx.pk))
-    letters = _path_letters(ctx) + [ctx.label_of(ctx.pk, u, HOST_T)]
-    return _reflect(word, positions, ctx.path[(ctx.k + 1) // 2], letters)
+    mirror = _extended_mirror(ctx, ctx.pk, u)
+    return _reflect(word, positions, ctx.path[(ctx.k + 1) // 2], mirror)
 
 
 def g_total(ctx: PathContext, word: Word) -> Word:
@@ -675,13 +737,12 @@ def g_total_aside(ctx: PathContext, word: Word) -> Word:
         raise ValueError("word is not an A-side walk word from p_k")
     k = ctx.k
     if k % 2 == 0:
-        return _reflect(word, positions, ctx.path[k // 2], _path_letters(ctx))
+        return _reflect(word, positions, ctx.path[k // 2], ctx._conjugation)
     # Odd k: strip the forced leading c_k, reflect through the path
     # u,p_0..p_k extended by the smallest A-neighbor u of p_0, then restore
     # the length.
-    u = min(ctx.a_neighbors_of_p0())
-    letters = [ctx.label_of(ctx.p0, u, HOST_T)] + _path_letters(ctx)
-    image = _reflect(word[1:], positions[1:], ctx.path[(k - 1) // 2], letters)
+    mirror = _extended_mirror(ctx, ctx.p0, min(ctx.a_neighbors_of_p0()))
+    image = _reflect(word[1:], positions[1:], ctx.path[(k - 1) // 2], mirror)
     return image + (image[-1],)
 
 
@@ -696,20 +757,12 @@ def h_map(ctx: PathContext, word: Word) -> Word:
         raise ValueError("cannot map an empty word")
     if not _decoded(ctx, word, HOST_T):
         raise ValueError("word is not valid in the original tree")
-    wtype = _word_type(ctx, word)
+    wtype = ctx._types[word]
     if wtype is not WordType.T21 and wtype is not WordType.T22:
         return _f_image(ctx, word, wtype)
-    seq = block_decompose(word)
-    blocks = seq.blocks
-    split_at = max(
-        i for i, b in enumerate(blocks) if b.kind == "C" and seq.is_proper(i)
-    )
-    prefix = tuple(
-        letter for b in blocks[:split_at] for letter in b.letters
-    )
-    suffix = tuple(
-        letter for b in blocks[split_at:] for letter in b.letters
-    )
+    # the start of the last proper C-run
+    cut = max(lo for kind, lo, _hi in _runs(word)[1:-1] if kind == "C")
+    prefix, suffix = word[:cut], word[cut:]
     mapped_prefix = f_map(ctx, prefix, closed=False)
     if wtype is WordType.T21:
         return mapped_prefix + g_total(ctx, suffix)

@@ -100,6 +100,12 @@ GOLDEN_INJECTIONS = [
         ["verify", "injections", "--max-n", "6", "--max-len", "4", "--format", "summary"],
         "916401c2abd2f21ff9259bbf20c5267ba6a82ca8eac8103f98b4a2bd3777550d",
     ),
+    # the injections benchmark scope, recorded before the word maps read
+    # blocks as index ranges of one letter scan
+    (
+        ["verify", "injections", "--max-n", "7", "--max-len", "5"],
+        "4905e238be3587f6fc204c32fbda5c63f4d5526cbaf2060607648e19057e7300",
+    ),
 ]
 
 # (length, format, stdout digest) of `dc-reduce` on FIXED_TREE, recorded

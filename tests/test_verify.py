@@ -8,6 +8,7 @@ from treewalks.generate import (
     double_broom_paths,
     enumerate_free_trees,
     from_pruefer,
+    leaf_rooted,
     p_broom,
     path_tree,
     star_tree,
@@ -83,6 +84,28 @@ class TestKcMonotone:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             verify_kc_monotone(4, 2, kind="open")
+
+    def test_codes_only_moved_trees(self, monkeypatch):
+        # the base tree's profiles are computed directly, and so are those
+        # of a move along a path with a leaf end, which gives a tree
+        # isomorphic to the base; only the other moved trees are keyed by
+        # canonical code
+        coded = []
+        monkeypatch.setattr(
+            verify, "canonical_code", lambda t: coded.append(t) or canonical_code(t)
+        )
+        for t in map(leaf_rooted, enumerate_free_trees(8)):
+            coded.clear()
+            verify._kc_monotone_rows((t, 0, 4, ("closed", "all")))
+            proper = []
+            for bp in transforms.bare_paths(t):
+                moved = transforms._kc_along(t, bp.vertices)
+                if t.degree(bp.vertices[0]) == 1 or t.degree(bp.vertices[-1]) == 1:
+                    assert canonical_code(moved) == canonical_code(t)
+                else:
+                    proper.append(moved.edges)
+            assert all(c is not t for c in coded)
+            assert [c.edges for c in coded] == proper
 
 
 # ---------------------------------------------------------------------------

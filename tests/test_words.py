@@ -1,7 +1,10 @@
 import hashlib
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
 
+from treewalks import words
 from treewalks.generate import enumerate_free_trees, leaf_rooted, path_tree
 from treewalks.transforms import bare_paths
 from treewalks.trees import tree
@@ -29,6 +32,8 @@ from treewalks.words import (
     word_to_str,
     words_of,
 )
+
+from conftest import trees
 
 
 @pytest.fixture
@@ -194,6 +199,53 @@ class TestWordSets:
 
     def test_length_zero(self, k1):
         assert word_sets(k1, HOST_T, 0) == [({()}, {()})]
+
+
+class TestPerHostMemo:
+    def test_memo_holds_each_hosts_walks(self):
+        # oracle: group every enumerated walk of each host by its word; the
+        # memo keeps one dict per host, keyed by the word alone
+        for ctx in all_contexts(6):
+            for host, host_tree in ((HOST_T, ctx.tree), (HOST_T2, ctx.transformed_tree)):
+                sets = word_sets(ctx, host, 4)
+                expected = {}
+                for ell in range(1, 5):
+                    for walk in enumerate_walks(host_tree, ell):
+                        expected.setdefault(encode_walk(ctx, walk, host), []).append(walk)
+                    closed = {
+                        encode_walk(ctx, w, host)
+                        for w in enumerate_walks(host_tree, ell)
+                        if w[0] == w[-1]
+                    }
+                    assert sets[ell][1] == closed
+                memo = ctx._walks[host]
+                assert {w: list(found) for w, found in memo.items()} == {
+                    w: sorted(found) for w, found in expected.items()
+                }
+            assert set(ctx._walks) == {HOST_T, HOST_T2}
+
+    @pytest.mark.parametrize(
+        "text,valid_in,invalid_in",
+        [("a1 c1 b1", HOST_T, HOST_T2), ("a1 b1", HOST_T2, HOST_T)],
+    )
+    def test_word_of_one_host_decodes_to_nothing_in_the_other(self, k1, text, valid_in, invalid_in):
+        # a1 c1 b1 crosses the path in T; in T' b1 hangs at p_0, next to a1
+        word = parse_word(text)
+        for host in (HOST_T, HOST_T2):
+            word_sets(k1, host, 3)
+        assert word in k1._walks[valid_in]
+        assert word not in k1._walks[invalid_in]
+        assert decode_word(k1, word, valid_in)
+        assert decode_word(k1, word, invalid_in) == []
+
+    def test_decode_after_word_sets_is_a_fresh_list(self, k1):
+        word = parse_word("c1 c1")
+        for host in (HOST_T, HOST_T2):
+            word_sets(k1, host, 2)
+            walks = decode_word(k1, word, host)
+            walks.clear()
+            assert decode_word(k1, word, host) == [(1, 2, 1), (2, 1, 2)]
+            assert k1._walks[host][word] == ((1, 2, 1), (2, 1, 2))
 
 
 class TestTypeTable:
@@ -401,6 +453,13 @@ class TestFMap:
         with pytest.raises(ValueError):
             f_map(k1, parse_word("a1 c1 b1"), closed=False)
 
+    def test_surgery_rejects_the_wrong_lead(self, k1):
+        # a B-led word has no C-run in front of its first block
+        with pytest.raises(ValueError, match="without a leading C-run"):
+            words._f_surgery(k1, parse_word("b1 c1 a1"), "A")
+        with pytest.raises(ValueError, match="without a leading C-run"):
+            words._f_surgery(k1, parse_word("a1 c1 b1"), "B")
+
     def test_invalid_word_rejected(self, k1):
         with pytest.raises(ValueError):
             f_map(k1, parse_word("a1 b1"), closed=False)
@@ -577,6 +636,157 @@ class TestHMap:
                     walks = decode_word(ctx, image, HOST_T2)
                     assert any(w[0] == ctx.p0 for w in walks)
                 assert len(set(images)) == len(domain)
+
+
+# Reference copies of the block-based word layer as it was before the maps
+# read blocks as index ranges of one letter scan: the marks-based block
+# decomposition, the c-run split by tracing the walk, the block surgery of
+# f, conjugation by arithmetic, and the T21/T22 split of h with g mirrors
+# built per call.
+
+
+def ref_blocks(word):
+    marks = [(i, letter[0]) for i, letter in enumerate(word) if letter[0] != "c"]
+    blocks = []
+    cursor = 0
+    i = 0
+    while i < len(marks):
+        j = i
+        while j + 1 < len(marks) and marks[j + 1][1] == marks[i][1]:
+            j += 1
+        start, end = marks[i][0], marks[j][0]
+        if cursor < start:
+            blocks.append(("C", word[cursor:start]))
+        blocks.append((marks[i][1].upper(), word[start : end + 1]))
+        cursor = end + 1
+        i = j + 1
+    if cursor < len(word):
+        blocks.append(("C", word[cursor:]))
+    return blocks
+
+
+def ref_trace(ctx, word, start):
+    positions = [start]
+    for letter in word:
+        u, v = ctx.edge_of(letter, HOST_T)
+        positions.append(v if positions[-1] == u else u)
+    return positions
+
+
+def ref_conjugate(ctx, word):
+    k = ctx.k
+    return tuple(("c", k + 1 - idx) if kind == "c" else (kind, idx) for kind, idx in word)
+
+
+def ref_split(ctx, cblock, end):
+    positions = ref_trace(ctx, cblock, end)
+    cut = len(positions) - 1 - positions[::-1].index(end)
+    return cblock[:cut], cblock[cut:]
+
+
+def ref_surgery(ctx, word, lead):
+    if lead == "A":
+        other, end, keep, swap = "B", ctx.p0, tuple, partial(ref_conjugate, ctx)
+    else:
+        other, end, keep, swap = "A", ctx.pk, partial(ref_conjugate, ctx), tuple
+    blocks = ref_blocks(word)
+    out = []
+    pending = None
+    for i, (kind, letters) in enumerate(blocks):
+        if kind == other:
+            out.extend(swap(letters))
+            out.extend(pending)
+            pending = None
+        elif kind == "C" and 0 < i < len(blocks) - 1 and blocks[i + 1][0] == other:
+            left, right = ref_split(ctx, letters, end)
+            out.extend(keep(left))
+            pending = swap(reverse(right))
+        else:
+            out.extend(keep(letters))
+    return tuple(out)
+
+
+def ref_f(ctx, word):
+    wtype = classify(word)
+    if wtype is WordType.T0:
+        return word
+    return ref_surgery(ctx, word, "A" if wtype in (WordType.T11, WordType.T21) else "B")
+
+
+def ref_reflect(word, positions, midpoint, letters):
+    cut = positions.index(midpoint)
+    table = dict(zip(letters, reversed(letters)))
+    return tuple(table.get(letter, letter) for letter in word[:cut]) + word[cut:]
+
+
+def ref_h(ctx, word):
+    wtype = classify(word)
+    if wtype not in (WordType.T21, WordType.T22):
+        return ref_f(ctx, word)
+    blocks = ref_blocks(word)
+    split_at = max(
+        i for i, (kind, _) in enumerate(blocks) if kind == "C" and 0 < i < len(blocks) - 1
+    )
+    prefix = tuple(letter for _, letters in blocks[:split_at] for letter in letters)
+    suffix = tuple(letter for _, letters in blocks[split_at:] for letter in letters)
+    k, path = ctx.k, ctx.path
+    c_letters = [("c", i) for i in range(1, k + 1)]
+    if wtype is WordType.T21:  # g_total on the B-side suffix from p_0
+        if k % 2 == 0:
+            reflected = ref_reflect(suffix, ref_trace(ctx, suffix, ctx.p0), path[k // 2], c_letters)
+            return ref_f(ctx, prefix) + ref_conjugate(ctx, reflected)
+        u = min(ctx.b_neighbors_of_pk())
+        letters = c_letters + [ctx.label_of(ctx.pk, u, HOST_T)]
+        rest = suffix[1:]
+        reflected = ref_reflect(rest, ref_trace(ctx, rest, path[1]), path[(k + 1) // 2], letters)
+        image = ref_conjugate(ctx, reflected)
+        return ref_f(ctx, prefix) + image + (image[-1],)
+    positions = ref_trace(ctx, suffix, ctx.pk)  # g_total_aside from p_k
+    if k % 2 == 0:
+        return ref_f(ctx, prefix) + ref_reflect(suffix, positions, path[k // 2], c_letters)
+    u = min(ctx.a_neighbors_of_p0())
+    letters = [ctx.label_of(ctx.p0, u, HOST_T)] + c_letters
+    image = ref_reflect(suffix[1:], positions[1:], path[(k - 1) // 2], letters)
+    return ref_f(ctx, prefix) + image + (image[-1],)
+
+
+class TestReferenceLayer:
+    """The index-range word layer against the block-based reference above,
+    past IMAGE_DIGEST's n <= 6: random trees up to 14 vertices, every bare
+    path, every T-word of length <= 5, and the length-6 T-words with both
+    an a- and a b-letter, the shortest that make the surgery split a
+    C-run."""
+
+    @given(trees(min_n=2, max_n=14))
+    @settings(deadline=None, max_examples=8)
+    def test_maps_match_reference(self, t):
+        f_open = (WordType.T0, WordType.T11, WordType.T12)
+        for bp in bare_paths(t):
+            ctx = build_context(t, *bp.endpoints)
+            sets = word_sets(ctx, HOST_T, 6)
+            for ell, (domain, closed) in enumerate(sets[1:], start=1):
+                if ell == 6:
+                    mixed = {w for w in domain if {"a", "b"} <= {kind for kind, _ in w}}
+                    domain, closed = mixed, closed & mixed
+                for word in domain:
+                    assert [(b.kind, b.letters) for b in block_decompose(word).blocks] == ref_blocks(word)
+                    expected = ref_h(ctx, word)  # ref_f(ctx, word) on the f-open types
+                    assert h_map(ctx, word) == expected
+                    if classify(word) in f_open:
+                        assert f_map(ctx, word) == expected
+                for word in closed:
+                    if classify(word) not in f_open:
+                        assert f_map(ctx, word, closed=True) == ref_f(ctx, word)
+
+    @given(trees(min_n=2, max_n=14))
+    @settings(deadline=None, max_examples=25)
+    def test_split_matches_reference(self, t):
+        for bp in bare_paths(t):
+            ctx = build_context(t, *bp.endpoints)
+            for mode, end in (("last-visit-p0", ctx.p0), ("last-visit-pk", ctx.pk)):
+                for ell in range(7):
+                    for word in words_of(ctx, HOST_T, ell, start=end, part="P"):
+                        assert split_c_block(ctx, word, mode) == ref_split(ctx, word, end)
 
 
 class TestSerialization:
