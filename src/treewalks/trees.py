@@ -170,55 +170,61 @@ def tree_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
 
 def center(t: Tree) -> tuple[int, ...]:
     """The one or two middle vertices, found by iterative leaf removal."""
-    if t.n <= 2:
-        return tuple(range(t.n))
-    degree = [t.degree(v) for v in range(t.n)]
-    layer = [v for v in range(t.n) if degree[v] == 1]
-    remaining = t.n
+    n, adj = t.n, t.adjacency
+    if n <= 2:
+        return tuple(range(n))
+    degree = [len(nbrs) for nbrs in adj]
+    layer = [v for v in range(n) if degree[v] == 1]
+    remaining = n
     while remaining > 2:
         remaining -= len(layer)
         nxt = []
         for v in layer:
-            degree[v] = 0
-            for u in t.adjacency[v]:
-                if degree[u] > 1:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
+            for u in adj[v]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    nxt.append(u)
         layer = nxt
     return tuple(sorted(layer))
 
 
-def _rooted_code(t: Tree, root: int) -> str:
-    """Nested-parenthesis encoding of the tree rooted at `root`, with
-    children sorted; invariant under relabeling."""
+@lru_cache(maxsize=65536)
+def canonical_code(t: Tree) -> CanonicalCode:
+    """A complete isomorphism invariant: the nested-parenthesis encoding of
+    the tree rooted at its center, each vertex's child codes sorted, and
+    the lexicographic minimum over the two rootings when the center is an
+    edge.
+
+    One pass builds every subtree code bottom-up from the first center.
+    For an edge center (a, b) that pass gives a's rooting and b's half-code
+    (its side of the edge); a's half-code then joins b's children to give
+    b's rooting, so the tree is never re-rooted."""
+    adj = t.adjacency
+    mids = center(t)
+    root = mids[0]
     parent = [-1] * t.n
     parent[root] = root
     order = [root]
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in t.adjacency[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                order.append(y)
-                queue.append(y)
-    codes: list[str] = [""] * t.n
-    children: list[list[int]] = [[] for _ in range(t.n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    for v in reversed(order):
-        codes[v] = "(" + "".join(sorted(codes[c] for c in children[v])) + ")"
-    return codes[root]
-
-
-@lru_cache(maxsize=65536)
-def canonical_code(t: Tree) -> CanonicalCode:
-    """A complete isomorphism invariant: rooted encoding at the center,
-    taking the lexicographic minimum over the two rootings when the center
-    is an edge."""
-    mids = center(t)
-    return min(_rooted_code(t, r) for r in mids)
+    for v in order:
+        for c in adj[v]:
+            if parent[c] < 0:
+                parent[c] = v
+                order.append(c)
+    kids: list[list[str]] = [[] for _ in range(t.n)]  # child codes
+    for v in reversed(order[1:]):
+        below = kids[v]
+        below.sort()
+        kids[parent[v]].append("(" + "".join(below) + ")")
+    top = kids[root]
+    top.sort()
+    code = "(" + "".join(top) + ")"
+    if len(mids) == 1:
+        return code
+    other = kids[mids[1]]
+    top.remove("(" + "".join(other) + ")")
+    other.append("(" + "".join(top) + ")")
+    other.sort()
+    return min(code, "(" + "".join(other) + ")")
 
 
 def is_isomorphic(t1: Tree, t2: Tree) -> bool:

@@ -24,7 +24,7 @@ none of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .transforms import _kc_along, bare_paths, dc_transform, valency
 from .trees import Tree, canonical_code, distances_from, tree_path
@@ -66,8 +66,9 @@ class Check:
         n=NN t=TTT path=v0-v1-...-vk len=LL name  (per-tree checks)
 
     with zero-padded n, t and ell; reports sort and print by that string,
-    which each record renders once.  ``t`` has 3 digits up to n = 12 and
-    past it as many as the largest index of its order needs
+    which each record renders once (kc-monotone sets it as it builds the
+    row, from a prefix rendered once per path).  ``t`` has 3 digits up to
+    n = 12 and past it as many as the largest index of its order needs
     (``_INDEX_DIGITS``), so one order's strings sort in index order.
     """
 
@@ -338,54 +339,87 @@ def verify_closed_extremal(max_n: int, max_len: int, emit=None) -> VerificationR
     return _stream(report, blocks(), emit)
 
 
-def _sweep_trees(report, emit, rows_fn, max_n: int, args: tuple, workers: int) -> VerificationReport:
+def _sweep_trees(report, emit, rows_fn, max_n: int, job, workers: int) -> VerificationReport:
     """The per-tree sweep driver: enumerate every free tree of order
-    2..max_n, run ``rows_fn((tree, index, *args))`` on each (in ``workers``
-    processes), and stream each tree's checks in (n, index) order.  Each
-    tree carries the labels ``enumerate`` prints (``leaf_rooted``), since
-    the checks name its vertices."""
+    2..max_n, run ``rows_fn((tree, index, *job(enumerated)))`` on each (in
+    ``workers`` processes), and stream each tree's checks in (n, index)
+    order.  Each tree carries the labels ``enumerate`` prints
+    (``leaf_rooted``), since the checks name its vertices; ``job`` gives
+    the rest of the job tuple from the tree as enumerated."""
     from .generate import enumerate_free_trees, leaf_rooted
 
     jobs = (
-        (leaf_rooted(t), index, *args)
+        (leaf_rooted(t), index, *job(t))
         for n in range(2, max_n + 1)
         for index, t in enumerate(enumerate_free_trees(n))
     )
     return _stream(report, _pmap(rows_fn, jobs, workers), emit)
 
 
-def _kc_monotone_rows(args) -> list:
-    from .walks import closed_walk_profile, walk_profile
+class _KcMonotoneRows:
+    """The kc-monotone checks of one tree per call, on one job tuple
+    (tree, index among its order, canonical code of its class).
 
-    t, index, max_len, kinds = args
-    profiles = {"closed": closed_walk_profile, "all": walk_profile}
+    Profiles come from one table per order, keyed by canonical code; the
+    instance lives for one sweep and starts a new table at each order.
+    Each class's closed and all-walk profiles are computed once, whether it
+    first shows up as a base tree or as a moved one.  A moved tree has its source's order, so
+    its profiles are a lookup once its code is known.  A move along a path
+    with a leaf end gives the base tree back (y a leaf) or its path
+    reflected end for end (x a leaf), so it needs no code at all.  With
+    ``--workers`` each chunk of jobs gets its own copy of the instance and
+    fills its own table; the checks do not depend on which table served
+    them.
 
-    def vectors(tr: Tree) -> dict:
-        return {kind: profiles[kind](tr, max_len)[1:] for kind in kinds}
+    Rows are built in report order, so the sweep's sort finds them sorted:
+    paths by their ``-``-joined string (``1-10`` before ``1-2``), then ell,
+    then kind by name.  Each row's instance is set from a prefix built
+    once per path."""
 
-    # The base tree is new (leaf_rooted), so its code would be a cache miss.
-    # A move along a path with a leaf end gives the base tree back (y a
-    # leaf) or its path reflected end for end (x a leaf).  Other moved
-    # trees are keyed by class, since several moves may give the same one.
-    cache: dict[str, dict] = {}
-    rows = []
-    base = vectors(t)
-    for bp in bare_paths(t):
-        path = bp.vertices
-        if t.degree(path[0]) == 1 or t.degree(path[-1]) == 1:
-            moved = base
-        else:
-            moved_tree = _kc_along(t, path)
-            code = canonical_code(moved_tree)
-            if code not in cache:
-                cache[code] = vectors(moved_tree)
-            moved = cache[code]
-        for kind in kinds:
-            before, after = base[kind], moved[kind]
-            for ell in range(1, max_len + 1):
-                lhs, rhs = before[ell - 1], after[ell - 1]
-                rows.append(Check(t.n, ell, kind, lhs, rhs, "<=", lhs <= rhs, index, path))
-    return rows
+    def __init__(self, max_len: int, kinds: tuple[str, ...]):
+        self.max_len = max_len
+        self.kinds = tuple(sorted(kinds))
+        self.n = None
+        self.table: dict[str, dict] = {}
+
+    def profiles(self, t: Tree, code: str) -> dict:
+        if t.n != self.n:
+            self.n, self.table = t.n, {}
+        found = self.table.get(code)
+        if found is None:
+            from .walks import closed_walk_profile, walk_profile
+
+            kernels = {"closed": closed_walk_profile, "all": walk_profile}
+            found = {kind: kernels[kind](t, self.max_len) for kind in self.kinds}
+            self.table[code] = found
+        return found
+
+    def __call__(self, args) -> list:
+        t, index, code = args
+        n, adj = t.n, t.adjacency
+        base = self.profiles(t, code)
+        moves = []
+        for bp in bare_paths(t):
+            path = bp.vertices
+            if len(adj[path[0]]) == 1 or len(adj[path[-1]]) == 1:
+                moved = base
+            else:
+                moved_tree = _kc_along(t, path)
+                moved = self.profiles(moved_tree, canonical_code(moved_tree))
+            moves.append(("-".join(map(str, path)), path, moved))
+        moves.sort(key=itemgetter(0))
+        head = f"n={n:02d} t={str(index).zfill(_INDEX_DIGITS.get(n, 3))} path="
+        rows = []
+        for pid, path, moved in moves:
+            prefix = f"{head}{pid} len="
+            for ell in range(1, self.max_len + 1):
+                lead = f"{prefix}{ell:02d} "
+                for kind in self.kinds:
+                    lhs, rhs = base[kind][ell], moved[kind][ell]
+                    check = Check(n, ell, kind, lhs, rhs, "<=", lhs <= rhs, index, path)
+                    check._instance = lead + kind
+                    rows.append(check)
+        return rows
 
 
 def verify_kc_monotone(
@@ -401,7 +435,10 @@ def verify_kc_monotone(
     _require("workers", workers, 1)
     kinds = ("closed", "all") if kind == "both" else (kind,)
     report = VerificationReport(scope={"max_n": max_n, "max_len": max_len, "kind": kind})
-    return _sweep_trees(report, emit, _kc_monotone_rows, max_n, (max_len, kinds), workers)
+    # the enumeration sorted its trees by code, so each base tree's code is
+    # a cache hit; leaf_rooted only relabels, so the code is its class's
+    rows = _KcMonotoneRows(max_len, kinds)
+    return _sweep_trees(report, emit, rows, max_n, lambda t: (canonical_code(t),), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +462,7 @@ def verify_injections(max_n: int, max_len: int, workers: int = 1, emit=None) -> 
     report = VerificationReport(
         scope={"max_n": max_n, "max_len": max_len, "suites": _INJECTION_SCOPE}
     )
-    return _sweep_trees(report, emit, injection_rows, max_n, (max_len,), workers)
+    return _sweep_trees(report, emit, injection_rows, max_n, lambda t: (max_len,), workers)
 
 
 # ---------------------------------------------------------------------------

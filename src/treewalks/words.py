@@ -112,6 +112,15 @@ Word = tuple[Letter, ...]
 HOST_T = "T"
 HOST_T2 = "T'"
 
+
+def _require_host(host: str) -> None:
+    """Reject a host name other than HOST_T and HOST_T2: the public word
+    entry points call this, since the internal ones read any other name as
+    T'."""
+    if host != HOST_T and host != HOST_T2:
+        raise ValueError(f"host must be {HOST_T} or {HOST_T2}, got {host!r}")
+
+
 _PART_KINDS = {None: "abc", "A": "ac", "B": "bc", "P": "c"}
 
 
@@ -178,10 +187,12 @@ class PathContext:
         return dict(self._edge_label_t2)
 
     def edge_of(self, letter: Letter, host: str) -> tuple[int, int] | None:
+        _require_host(host)
         table = self._label_edge if host == HOST_T else self._label_edge_t2
         return table.get(letter)
 
     def label_of(self, u: int, v: int, host: str) -> Letter | None:
+        _require_host(host)
         table = self._edge_label if host == HOST_T else self._edge_label_t2
         return table.get((min(u, v), max(u, v)))
 
@@ -299,6 +310,7 @@ def _trace(ctx: PathContext, word: Word, start: int, host: str) -> tuple[int, ..
 
 def encode_walk(ctx: PathContext, walk: Walk, host: str) -> Word:
     """The label sequence traversed by a walk in the given host."""
+    _require_host(host)
     letters = []
     for u, v in zip(walk, walk[1:]):
         letter = ctx.label_of(u, v, host)
@@ -312,6 +324,7 @@ def decode_word(ctx: PathContext, word: Word, host: str) -> list[Walk]:
     """All walks in the host whose encoding is `word`.  A word over at
     least two distinct letters has at most one; a repeated single letter
     has two (one per direction); invalid words give an empty list."""
+    _require_host(host)
     return list(_decoded(ctx, word, host))
 
 
@@ -320,7 +333,8 @@ def _decoded(ctx: PathContext, word: Word, host: str) -> tuple[Walk, ...]:
     memo = ctx._walks[host]
     walks = memo.get(word)
     if walks is None:
-        edge = ctx.edge_of(word[0], host) if word else None
+        table = ctx._label_edge if host == HOST_T else ctx._label_edge_t2
+        edge = table.get(word[0]) if word else None
         starts = sorted(edge) if edge is not None else ()
         traced = (_trace(ctx, word, start, host) for start in starts)
         walks = memo[word] = tuple(p for p in traced if p is not None)
@@ -473,6 +487,7 @@ def words_of(
     """The set of host words of the given length, optionally restricted to
     walks starting/ending at fixed vertices and to a side subgraph
     (part 'A' = A with the path, 'B' = B with the path, 'P' = path only)."""
+    _require_host(host)
     adj = _side_adjacency(ctx, host, part)
     if length == 0:
         sources = [start] if start is not None else range(len(adj))
@@ -521,6 +536,7 @@ def word_sets(
     one of its walks ends where it starts.  Each walk carries its word's
     first and last non-c kinds, so the word's type goes into the context's
     type table at the cost of one lookup per letter."""
+    _require_host(host)
     adj = _side_adjacency(ctx, host, None)
     after = _KINDS_AFTER
     memo, types = ctx._walks[host], ctx._types

@@ -40,6 +40,13 @@ GOLDEN = [
         ["verify", "kc-monotone", "--max-n", "7", "--max-len", "6", "--kind", "both", "--format", "json"],
         "363ec31c984d96ff0efd21f61f6ed628a0069994f54fafe1f0eb9b38a4b20c4a",
     ),
+    # recorded before kc-monotone built its rows in report order: paths
+    # sort as strings (path=1-10 before path=1-2), and 2,046 rows here end
+    # at vertex 10, which no scope of n <= 10 has
+    (
+        ["verify", "kc-monotone", "--max-n", "11", "--max-len", "3", "--kind", "both"],
+        "cff6e25b1e41923024e138a9abcbb9cb2d606a464bb3ef10393d7d274d11eddc",
+    ),
     (
         ["verify", "path-extremal", "--max-n", "10", "--len", "5"],
         "b6656a297c9b25ed4d5bf13673883d9c8f8680e23debcc6d0b8c4d2d3ab69fbb",

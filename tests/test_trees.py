@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treewalks.generate import all_labeled_trees, p_broom, path_tree, star_tree
+from treewalks.generate import (
+    all_labeled_trees,
+    enumerate_free_trees,
+    leaf_rooted,
+    p_broom,
+    path_tree,
+    star_tree,
+)
+from treewalks.transforms import _kc_along, bare_paths
 from treewalks.trees import (
     Tree,
     canonical_code,
@@ -159,6 +167,88 @@ class TestCanonicalCode:
     def test_center_of_even_path_is_edge(self):
         assert center(path_tree(4)) == (1, 2)
         assert center(path_tree(5)) == (2,)
+
+
+def oracle_center(t: Tree) -> tuple[int, ...]:
+    """The center by leaf removal, reading degrees through ``degree``."""
+    if t.n <= 2:
+        return tuple(range(t.n))
+    degree = [t.degree(v) for v in range(t.n)]
+    layer = [v for v in range(t.n) if degree[v] == 1]
+    remaining = t.n
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            degree[v] = 0
+            for u in t.adjacency[v]:
+                if degree[u] > 1:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    return tuple(sorted(layer))
+
+
+def oracle_rooted_code(t: Tree, root: int) -> str:
+    """The nested-parenthesis code of t rooted at root, children sorted."""
+    parent = [-1] * t.n
+    parent[root] = root
+    order = [root]
+    for x in order:
+        for y in t.adjacency[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    codes = [""] * t.n
+    children: list[list[int]] = [[] for _ in range(t.n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    for v in reversed(order):
+        codes[v] = "(" + "".join(sorted(codes[c] for c in children[v])) + ")"
+    return codes[root]
+
+
+def oracle_code(t: Tree) -> str:
+    """The two-rooting definition: the rooted code at each center, min."""
+    return min(oracle_rooted_code(t, r) for r in oracle_center(t))
+
+
+class TestCanonicalCodeOracle:
+    """The one-pass code against the rooted code at each center."""
+
+    def test_every_free_tree_to_twelve(self):
+        for n in range(1, 13):
+            for t in enumerate_free_trees(n):
+                assert canonical_code(t) == oracle_code(t)
+                assert center(t) == oracle_center(t)
+
+    def test_every_kc_move_to_ten(self):
+        for n in range(2, 11):
+            for t in map(leaf_rooted, enumerate_free_trees(n)):
+                for bp in bare_paths(t):
+                    for path in (bp.vertices, bp.vertices[::-1]):
+                        moved = _kc_along(t, path)
+                        assert canonical_code(moved) == oracle_code(moved)
+
+    @given(trees(max_n=60))
+    @settings(max_examples=200, deadline=None)
+    def test_random_trees(self, t):
+        assert canonical_code(t) == oracle_code(t)
+        assert center(t) == oracle_center(t)
+
+    def test_long_path_and_large_star(self):
+        # 3,000 levels deep: a recursive encoder would pass the recursion limit
+        n = 3000
+        half = "(" * (n // 2) + ")" * (n // 2)
+        shorter = "(" * (n // 2 - 1) + ")" * (n // 2 - 1)
+        assert canonical_code(path_tree(n)) == "(" + half + shorter + ")"
+        assert canonical_code(path_tree(n)) == oracle_code(path_tree(n))
+        assert canonical_code(star_tree(n)) == "(" + "()" * (n - 1) + ")"
+
+    def test_keeps_its_cache(self):
+        # perfbench/spantrace.py reads the cache statistics
+        assert canonical_code.cache_info().maxsize == 65536
 
 
 class TestIsomorphism:

@@ -86,17 +86,16 @@ class TestKcMonotone:
             verify_kc_monotone(4, 2, kind="open")
 
     def test_codes_only_moved_trees(self, monkeypatch):
-        # the base tree's profiles are computed directly, and so are those
-        # of a move along a path with a leaf end, which gives a tree
-        # isomorphic to the base; only the other moved trees are keyed by
-        # canonical code
+        # the base tree's code comes with its job, and a move along a path
+        # with a leaf end gives a tree isomorphic to the base; only the
+        # other moved trees are keyed by canonical code
         coded = []
         monkeypatch.setattr(
             verify, "canonical_code", lambda t: coded.append(t) or canonical_code(t)
         )
         for t in map(leaf_rooted, enumerate_free_trees(8)):
             coded.clear()
-            verify._kc_monotone_rows((t, 0, 4, ("closed", "all")))
+            verify._KcMonotoneRows(4, ("closed", "all"))((t, 0, canonical_code(t)))
             proper = []
             for bp in transforms.bare_paths(t):
                 moved = transforms._kc_along(t, bp.vertices)
@@ -106,6 +105,43 @@ class TestKcMonotone:
                     proper.append(moved.edges)
             assert all(c is not t for c in coded)
             assert [c.edges for c in coded] == proper
+
+    def test_one_profile_per_class(self, monkeypatch):
+        # one profile table per order, keyed by canonical code: each kernel
+        # runs once per free tree of order 2..10, and the table does not
+        # outlive its sweep
+        from treewalks import walks
+
+        calls = {"closed": 0, "all": 0}
+
+        def counted(kind, kernel):
+            def profile(t, max_len):
+                calls[kind] += 1
+                return kernel(t, max_len)
+
+            return profile
+
+        monkeypatch.setattr(walks, "closed_walk_profile", counted("closed", walks.closed_walk_profile))
+        monkeypatch.setattr(walks, "walk_profile", counted("all", walks.walk_profile))
+        classes = sum(A000055[2:11])
+        assert classes == 200
+        for sweeps in (1, 2):
+            assert verify_kc_monotone(10, 8, "both").ok
+            assert calls == {"closed": sweeps * classes, "all": sweeps * classes}
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_rows_come_in_report_order(self, n):
+        # every row's preset instance is the one Check renders, and the rows
+        # of a tree are already in instance order, two-digit vertices too
+        rows_of = verify._KcMonotoneRows(3, ("closed", "all"))
+        for index, t in list(enumerate(enumerate_free_trees(n)))[::17]:
+            rows = rows_of((leaf_rooted(t), index, canonical_code(t)))
+            fresh = [
+                Check(c.n, c.ell, c.name, c.lhs, c.rhs, c.relation, c.passed, c.tree, c.path)
+                for c in rows
+            ]
+            assert [c.instance for c in rows] == [c.instance for c in fresh]
+            assert [c.instance for c in rows] == sorted(c.instance for c in rows)
 
 
 # ---------------------------------------------------------------------------

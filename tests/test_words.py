@@ -146,6 +146,25 @@ class TestEncodeDecode:
     def test_disjoint_letters_give_nothing(self, k1):
         assert decode_word(k1, parse_word("a1 a1 b1"), HOST_T) == []
 
+    @pytest.mark.parametrize("host", ["t", "x", "T2", "", None])
+    def test_unknown_host_rejected(self, k1, host):
+        # a misspelt host used to be read as T': decode_word(k1, "a1 b1",
+        # "t") gave the T' walk (0, 1, 3)
+        word = parse_word("a1 b1")
+        calls = [
+            lambda: encode_walk(k1, (0, 1), host),
+            lambda: decode_word(k1, word, host),
+            lambda: words_of(k1, host, 2),
+            lambda: word_sets(k1, host, 2),
+            lambda: k1.edge_of(("a", 1), host),
+            lambda: k1.label_of(0, 1, host),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="host must be T or T'"):
+                call()
+        assert decode_word(k1, word, HOST_T2) == [(0, 1, 3)]
+        assert decode_word(k1, word, HOST_T) == []
+
     def test_roundtrip_exhaustive(self):
         for ctx in all_contexts(6):
             for ell in range(1, 6):
