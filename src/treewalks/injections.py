@@ -8,10 +8,22 @@ apart from ``verify`` and is imported only when the injection sweep runs.
 Every map check has one shape: map each word of a domain, test each image
 (length, type and where it decodes, or that the swap undoes itself), and
 pass when every test holds and the images are as many as the words.
-``_injective`` turns a domain, its images and the per-image tests into
-that check record.  The images and tests are list comprehensions that call
-the maps by their names in this module, so a test that replaces one of
-them here replaces it in the sweep.
+``_injective`` turns a domain's images, and whether every image passed its
+test, into that check record.  The maps are called by their names in this
+module, so a test that replaces one of them here replaces it in the sweep.
+
+The word sets come from what ``words._grow_words`` builds once per context
+and host: per length, the table of every word with its record (walks,
+type, f-image), and the B-side words with a b-letter from each start
+vertex.  So the f and h checks walk one table, with no set or lookup per
+domain; the g maps and the lemmas read their domains and counts from the
+per-start lists; and every image test reads the image's walks and type
+from the table of its host and length, with no trace.  Each word of the two f domains (the closed
+words, and the T0/T11/T12 words) is mapped and its image tested once: a
+closed T0/T11/T12 word is in both, and its closed test is its general test
+plus the closedness of its image's T' walks.  The h check takes the f
+verdict for an h-image that is the tested f-image itself and tests any
+other.
 """
 
 from __future__ import annotations
@@ -23,17 +35,15 @@ from .verify import Check
 from .words import (
     HOST_T,
     HOST_T2,
-    WordType,
-    _decoded,
-    _trace,
+    _T21,
+    _T22,
+    _grow_words,
     build_context,
     f_map,
     g_even,
     g_odd,
     g_total,
     h_map,
-    word_sets,
-    words_of,
 )
 
 __all__ = ["injection_rows"]
@@ -46,87 +56,93 @@ def injection_rows(args) -> list:
     t, index, max_len = args
     rows = []
     for bp in bare_paths(t):
-        ctx = build_context(t, *bp.endpoints)
-        t_sets = word_sets(ctx, HOST_T, max_len)
-        t2_sets = word_sets(ctx, HOST_T2, max_len)
-        for ell in range(1, max_len + 1):
-            # check(name, lhs, rhs, relation, passed) at this path and length
-            check = partial(Check, t.n, ell, tree=index, path=bp.vertices)
-            words, closed = t_sets[ell]
-            # the B-side T-words from p0, shared by the g maps and the lemmas
-            b_p0 = words_of(ctx, HOST_T, ell, start=ctx.p0, part="B")
-            f_rows, f_tested = _check_f(ctx, check, words, closed)
-            rows.extend(f_rows)
-            rows.extend(_check_h(ctx, check, words, t2_sets[ell][0], f_tested))
-            rows.extend(_check_g(ctx, check, ell, b_p0))
-            rows.extend(_check_lemmas(ctx, check, ell, b_p0))
+        rows.extend(_path_rows(t, index, bp, max_len))
     return rows
 
 
-def _injective(check, name, domain, images, tests):
-    """The check that a map is injective on domain and that every image
-    passes its test; images and tests follow the order of domain."""
+def _path_rows(t, index, bp, max_len):
+    """The checks of one bare path at every length.  Its context and word
+    tables are freed when this returns, before the next path's are grown."""
+    ctx = build_context(t, *bp.endpoints)
+    t_levels = _grow_words(ctx, HOST_T, max_len)
+    t2_levels = _grow_words(ctx, HOST_T2, max_len)
+    rows = []
+    for ell in range(1, max_len + 1):
+        # check(name, lhs, rhs, relation, passed) at this path and length
+        check = partial(Check, t.n, ell, tree=index, path=bp.vertices)
+        table, b_words = t_levels[ell]
+        t2_table, t2_b_words = t2_levels[ell]
+        # the B-side T-words from p0 that touch B, shared by the g maps and
+        # the lemmas
+        b_p0 = b_words.get(ctx.p0, [])
+        rows.extend(_check_f_h(ctx, check, table, t2_table))
+        rows.extend(_check_g(ctx, check, ell, b_p0, t_levels, t2_table))
+        rows.extend(_check_lemmas(ctx, check, ell, b_p0, t_levels, t2_b_words))
+    return rows
+
+
+def _injective(check, name, images, all_pass):
+    """The check that a map is injective on its domain and that every image
+    passes its test; images holds one image per word of the domain."""
     distinct = len(set(images))
-    passed = all(tests) and distinct == len(domain)
-    return check(name, len(domain), distinct, "==", passed)
+    passed = all_pass and distinct == len(images)
+    return check(name, len(images), distinct, "==", passed)
 
 
-def _image_ok(ctx, word, image, require_closed):
+_FAILS, _PASSES, _PASSES_CLOSED = (False, False), (True, False), (True, True)
+
+
+def _image_ok(t2_table, word, wtype, image):
+    """The tests of an f- or h-image of a T-word of type wtype, given the
+    T'-word table of the word's length: the image has the word's length
+    and type and decodes in T'.  Returns whether it passes, and whether it
+    passes with a closed T' walk, the fourth test, which the f-closed domain
+    adds.  The table holds every T'-word of its length, so an image it
+    lacks decodes to nothing."""
     if len(image) != len(word):
-        return False
-    types = ctx._types
-    if types[image] is not types[word]:
-        return False
-    walks = _decoded(ctx, image, HOST_T2)
-    if not walks:
-        return False
-    if require_closed and not any(w[0] == w[-1] for w in walks):
-        return False
-    return True
+        return _FAILS
+    record = t2_table.get(image)
+    if record is None or record[1] is not wtype:
+        return _FAILS
+    first = record[0][0]  # see words._is_closed
+    return _PASSES_CLOSED if first[0] == first[-1] else _PASSES
 
 
-# the types f_map takes without a closedness claim
-_F_OPEN_TYPES = (WordType.T0, WordType.T11, WordType.T12)
-
-
-def _check_f(ctx, check, words, closed):
-    """The two f checks, and each f-general word's image and verdict, keyed
-    by the word, for _check_h to reuse."""
-    types = ctx._types
-    open_dom = [w for w in words if types[w] in _F_OPEN_TYPES]
-    closed_images = [f_map(ctx, w, closed=True) for w in closed]
-    open_images = [f_map(ctx, w, closed=False) for w in open_dom]
-    closed_tests = [_image_ok(ctx, w, i, True) for w, i in zip(closed, closed_images)]
-    open_tests = [_image_ok(ctx, w, i, False) for w, i in zip(open_dom, open_images)]
+def _check_f_h(ctx, check, table, t2_table):
+    """The two f checks and the h checks on the T-words of one length.  f
+    maps the closed words and the T0/T11/T12 words, each once; h maps every
+    word, and an h-image that is the tested f-image takes its verdict.  Each
+    check counts the images that fail their tests."""
+    closed_images, open_images, h_images = [], [], []
+    closed_failed = open_failed = h_failed = 0
+    for word, (walks, wtype, _image) in table.items():
+        first = walks[0]
+        closed = first[0] == first[-1]  # see words._is_closed
+        is_open = wtype is not _T21 and wtype is not _T22
+        f_image, f_ok = None, False
+        if is_open or closed:
+            f_image = f_map(ctx, word, closed)
+            f_ok, f_ok_closed = _image_ok(t2_table, word, wtype, f_image)
+            if is_open:
+                open_images.append(f_image)
+                if not f_ok:
+                    open_failed += 1
+            if closed:
+                closed_images.append(f_image)
+                if not f_ok_closed:
+                    closed_failed += 1
+        image = h_map(ctx, word)
+        h_images.append(image)
+        if not (f_ok if image is f_image else _image_ok(t2_table, word, wtype, image)[0]):
+            h_failed += 1
     rows = [
-        _injective(check, "f-closed-inject", closed, closed_images, closed_tests),
-        _injective(check, "f-general-inject", open_dom, open_images, open_tests),
+        _injective(check, "f-closed-inject", closed_images, not closed_failed),
+        _injective(check, "f-general-inject", open_images, not open_failed),
+        _injective(check, "h-inject", h_images, not h_failed),
     ]
-    return rows, dict(zip(open_dom, zip(open_images, open_tests)))
-
-
-def _check_h(ctx, check, words, t2_words, f_tested):
-    """The h checks.  h_map gives the f-image on the f-general domain, so
-    an image already tested there takes that verdict; any other image,
-    including one that differs from the tested f-image, is tested here."""
-    images = [h_map(ctx, w) for w in words]
-    tests = [
-        tested[1]
-        if (tested := f_tested.get(w)) is not None and tested[0] == i
-        else _image_ok(ctx, w, i, False)
-        for w, i in zip(words, images)
-    ]
-    rows = [_injective(check, "h-inject", words, images, tests)]
-    if words:
-        rows.append(
-            check(
-                "word-count-monotone",
-                len(words),
-                len(t2_words),
-                "<=",
-                len(words) <= len(t2_words),
-            )
-        )
+    if table:
+        size, t2_size = len(table), len(t2_table)
+        rows.append(check("word-count-monotone", size, t2_size, "<=", size <= t2_size))
     return rows
 
 
@@ -134,52 +150,51 @@ def _has_b(word):
     return any(kind == "b" for kind, _ in word)
 
 
-def _lands(ctx, image, length, start, host):
+def _lands(table, image, length, start):
     """Whether a g-image has the length, a b-letter, and a walk from start
-    in host."""
-    return (
-        len(image) == length
-        and _has_b(image)
-        and _trace(ctx, image, start, host) is not None
-    )
+    in the host whose word table of that length is given.  A word has at
+    most two walks, its first and its last."""
+    if len(image) != length or not _has_b(image):
+        return False
+    record = table.get(image)
+    return record is not None and (record[0][0][0] == start or record[0][-1][0] == start)
 
 
-def _check_g(ctx, check, ell, b_p0):
+def _check_g(ctx, check, ell, b_p0, t_levels, t2_table):
     rows = []
     p0, pk = ctx.p0, ctx.pk
-    domain = [w for w in b_p0 if _has_b(w)]
     if ctx.k % 2 == 0:
-        images = [g_even(ctx, w) for w in domain]
+        table = t_levels[ell][0]
+        images = [g_even(ctx, w) for w in b_p0]
         tests = [
-            _lands(ctx, i, ell, pk, HOST_T) and g_even(ctx, i) == w
-            for w, i in zip(domain, images)
+            _lands(table, i, ell, pk) and g_even(ctx, i) == w
+            for w, i in zip(b_p0, images)
         ]
-        rows.append(_injective(check, "g-even-involution", domain, images, tests))
+        rows.append(_injective(check, "g-even-involution", images, all(tests)))
     elif ctx.b_neighbors_of_pk() and ell >= 2:
         u = min(ctx.b_neighbors_of_pk())
-        from_p1 = words_of(ctx, HOST_T, ell - 1, start=ctx.path[1], part="B")
-        odd = [w for w in from_p1 if _has_b(w)]
+        shorter, shorter_b_words = t_levels[ell - 1]
+        odd = shorter_b_words.get(ctx.path[1], [])
         images = [g_odd(ctx, w, u) for w in odd]
         tests = [
-            _lands(ctx, i, ell - 1, pk, HOST_T) and g_odd(ctx, i, u) == w
+            _lands(shorter, i, ell - 1, pk) and g_odd(ctx, i, u) == w
             for w, i in zip(odd, images)
         ]
-        rows.append(_injective(check, "g-odd-involution", odd, images, tests))
-    images = [g_total(ctx, w) for w in domain]
-    tests = [_lands(ctx, i, ell, p0, HOST_T2) for i in images]
-    rows.append(_injective(check, "g-total-inject", domain, images, tests))
+        rows.append(_injective(check, "g-odd-involution", images, all(tests)))
+    images = [g_total(ctx, w) for w in b_p0]
+    tests = [_lands(t2_table, i, ell, p0) for i in images]
+    rows.append(_injective(check, "g-total-inject", images, all(tests)))
     return rows
 
 
-def _check_lemmas(ctx, check, ell, b_p0):
-    p0, pk = ctx.p0, ctx.pk
-    lhs = len(b_p0) - len(words_of(ctx, HOST_T, ell, start=p0, part="P"))
+def _check_lemmas(ctx, check, ell, b_p0, t_levels, t2_b_words):
+    """Each side counts the B-side words that touch B: the B-side words
+    less the path words, from one start."""
+    lhs = len(b_p0)
     # odd k compares with the p_k-rooted words one letter shorter
     length, name = (ell, "lemma-even") if ctx.k % 2 == 0 else (ell - 1, "lemma-odd")
-    w_pk = len(words_of(ctx, HOST_T, length, start=pk, part="B"))
-    rhs = w_pk - len(words_of(ctx, HOST_T, length, start=pk, part="P"))
-    w2_p0 = len(words_of(ctx, HOST_T2, ell, start=p0, part="B"))
-    total = w2_p0 - len(words_of(ctx, HOST_T2, ell, start=p0, part="P"))
+    rhs = len(t_levels[length][1].get(ctx.pk, ()))
+    total = len(t2_b_words.get(ctx.p0, ()))
     return [
         check(name, lhs, rhs, "<=", lhs <= rhs),
         check("corollary-total", lhs, total, "<=", lhs <= total),

@@ -52,17 +52,28 @@ vertices: the conjugation table (also the even-k mirror of the g maps),
 the B-side neighbors of p_k and the A-side neighbors of p_0, and, on
 first use, the mirror of each path extended by one edge for odd k.
 
-It also memoizes, per host, the walks each word decodes to
-(ctx._walks[host][word]), each word's type, each f-image, and the labeled
-side adjacency of each (host, part).  word_sets fills the decode memo and
-the type table as it grows the walks, and reads each walk's closedness
-from its two ends; a word it has not seen is classified on demand and not
-stored.  The memos live exactly as long as their context (a sweep builds
-one context per tree and bare path and drops it after the last length),
-and they sit under the validations, never in place of them: f_map and
-h_map still check that their input decodes and that its type is in the
-domain before a memoized result is returned, and decode_word hands out a
-fresh list.
+It also memoizes each word that decodes in a host as one record,
+[walks, type, f-image], in the table ctx._words[host][len(word)].  Every
+lookup reads that one table: decode_word the walks, f_map and h_map the
+walks (that the word decodes), the type and the f-image, which they store
+in the record's last slot on first use (host T only), and the injection
+sweep's image test the walks and type of a T'-word.  _grow_words, which
+word_sets runs, grows all walks of a host one letter per level and
+inserts each word's record into its table once: the walks in start-vertex
+order, and the type from the first and last non-c kinds each walk
+carries.  A word it has not seen is traced and classified on demand; a
+word that decodes to nothing gets no record.  So once the growth has run
+on a host to length l, each table up to l holds exactly the host's words
+of that length, and the sweep reads the word sets off the tables.  The
+growth also returns, per length and start vertex, the words of the walks
+with a b-letter and no a-letter, read off the same kinds: the B-side
+words that touch B, which the g maps and the counting lemmas take.  The
+labeled side adjacency of each (host, part) is memoized as well.  The
+memos live exactly as long as their context (a sweep builds one context
+per tree and bare path and drops it after the last length), and they sit
+under the validations, never in place of them: f_map and h_map still
+check that their input decodes and that its type is in the domain before
+a memoized result is returned, and decode_word hands out a fresh list.
 """
 
 from __future__ import annotations
@@ -75,7 +86,6 @@ from operator import itemgetter
 
 from .transforms import _kc_along, _path_if_bare
 from .trees import Tree
-from .walks import Walk
 
 __all__ = [
     "Block",
@@ -108,6 +118,7 @@ __all__ = [
 
 Letter = tuple[str, int]  # (kind 'a'|'b'|'c', 1-based index)
 Word = tuple[Letter, ...]
+Walk = tuple[int, ...]  # vertex sequence, as in walks.Walk
 
 HOST_T = "T"
 HOST_T2 = "T'"
@@ -132,12 +143,9 @@ class WordType(Enum):
     T22 = "2.2"
 
 
-class _TypeTable(dict):
-    """word -> WordType, filled by word_sets; a word it has not typed is
-    classified on demand and not stored."""
-
-    def __missing__(self, word: Word) -> WordType:
-        return classify(word)
+# The members under module names for the per-word paths: reading a member
+# off the Enum class costs about 0.16 us, a module name a tenth of that.
+_T0, _T11, _T12, _T21, _T22 = WordType.T0, WordType.T11, WordType.T12, WordType.T21, WordType.T22
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,9 +168,9 @@ class PathContext:
     _a_neighbors: tuple = field(repr=False)  # A-side neighbors of p_0
     _mirrors: dict = field(default_factory=dict, repr=False)  # (end, u) -> mirror
     # memos, see the module docstring
-    _walks: dict = field(default_factory=lambda: defaultdict(dict), repr=False)  # host -> word -> walks
-    _types: dict = field(default_factory=_TypeTable, repr=False)  # word -> WordType
-    _f_images: dict = field(default_factory=dict, repr=False)  # T-word -> f-image
+    _words: dict = field(  # host -> length -> word -> record
+        default_factory=lambda: defaultdict(lambda: defaultdict(dict)), repr=False
+    )
     _adjacency: dict = field(default_factory=dict, repr=False)  # (host, part) -> lists
 
     @property
@@ -325,20 +333,32 @@ def decode_word(ctx: PathContext, word: Word, host: str) -> list[Walk]:
     least two distinct letters has at most one; a repeated single letter
     has two (one per direction); invalid words give an empty list."""
     _require_host(host)
-    return list(_decoded(ctx, word, host))
+    record = _record(ctx, word, host)
+    return list(record[0]) if record is not None else []
 
 
-def _decoded(ctx: PathContext, word: Word, host: str) -> tuple[Walk, ...]:
-    """decode_word's walks, memoized on the context."""
-    memo = ctx._walks[host]
-    walks = memo.get(word)
-    if walks is None:
-        table = ctx._label_edge if host == HOST_T else ctx._label_edge_t2
-        edge = table.get(word[0]) if word else None
+def _record(ctx: PathContext, word: Word, host: str) -> list | None:
+    """The word's record [walks, type, f-image] in its (host, length) table,
+    traced and classified on first use; None when it decodes to nothing."""
+    table = ctx._words[host][len(word)]
+    record = table.get(word)
+    if record is None and word:
+        labels = ctx._label_edge if host == HOST_T else ctx._label_edge_t2
+        edge = labels.get(word[0])
         starts = sorted(edge) if edge is not None else ()
         traced = (_trace(ctx, word, start, host) for start in starts)
-        walks = memo[word] = tuple(p for p in traced if p is not None)
-    return walks
+        walks = tuple(p for p in traced if p is not None)
+        if walks:
+            record = table[word] = [walks, classify(word), None]
+    return record
+
+
+def _is_closed(walks: tuple[Walk, ...]) -> bool:
+    """Whether a word's walks are closed.  A word has two walks only when it
+    repeats one letter, and both are closed exactly when its length is
+    even, so the first walk answers for all."""
+    first = walks[0]
+    return first[0] == first[-1]
 
 
 @dataclass(frozen=True)
@@ -408,19 +428,25 @@ def classify(word: Word) -> WordType:
 
 
 # A word's first and last non-c kinds as one string ("" while it has
-# none), the same after one more letter of each kind, and the type they
-# name.  Keys are strings because Enum members hash in Python.
+# none), marked "+" once both kinds have occurred, the same after one more
+# letter of each kind, and the type they name.  "bb" is thus a word with a
+# b-letter and no a-letter: a B-side word that touches B.  Keys are strings
+# because Enum members hash in Python.
 _KINDS_AFTER = {
     "": {"a": "aa", "b": "bb", "c": ""},
     "aa": {"a": "aa", "b": "ab", "c": "aa"},
-    "ab": {"a": "aa", "b": "ab", "c": "ab"},
+    "ab": {"a": "aa+", "b": "ab", "c": "ab"},
+    "aa+": {"a": "aa+", "b": "ab", "c": "aa+"},
     "bb": {"a": "ba", "b": "bb", "c": "bb"},
-    "ba": {"a": "ba", "b": "bb", "c": "ba"},
+    "ba": {"a": "ba", "b": "bb+", "c": "ba"},
+    "bb+": {"a": "ba", "b": "bb+", "c": "bb+"},
 }
 _TYPE_OF_KINDS = {
     "": WordType.T0,
     "aa": WordType.T11,
+    "aa+": WordType.T11,
     "bb": WordType.T12,
+    "bb+": WordType.T12,
     "ab": WordType.T21,
     "ba": WordType.T22,
 }
@@ -529,40 +555,50 @@ def word_sets(
     ctx: PathContext, host: str, max_len: int
 ) -> list[tuple[set[Word], set[Word]]]:
     """For every length 0..max_len, the host words of that length and those
-    among them that encode a closed walk, from one labeled walk enumeration
-    out of every start vertex that grows all walks by one letter per level.
-    The walks found for each nonempty word go into the host's decode memo,
-    so decode_word on these words is a lookup, and a word is closed when
-    one of its walks ends where it starts.  Each walk carries its word's
-    first and last non-c kinds, so the word's type goes into the context's
-    type table at the cost of one lookup per letter."""
+    among them that encode a closed walk, read from the word tables that
+    _grow_words fills (see the module docstring)."""
     _require_host(host)
-    adj = _side_adjacency(ctx, host, None)
-    after = _KINDS_AFTER
-    memo, types = ctx._walks[host], ctx._types
-    walks = [((v,), (), "") for v in range(len(adj))]  # (positions, word, kinds)
     sets = [({()}, {()})]
-    for _ in range(max_len):
+    for table, _b_words in _grow_words(ctx, host, max_len)[1:]:
+        closed = {word for word, record in table.items() if _is_closed(record[0])}
+        sets.append((set(table), closed))
+    return sets
+
+
+def _grow_words(
+    ctx: PathContext, host: str, max_len: int
+) -> list[tuple[dict[Word, list], dict[int, list[Word]]]]:
+    """One labeled walk enumeration out of every start vertex that grows all
+    walks by one letter per level.  Each nonempty word's record goes into
+    its (host, length) table once, with the word's walks and the type named
+    by the kinds each walk carries.  Returns, for every length 0..max_len,
+    that table and the words of the walks with state "bb" (a b-letter and
+    no a-letter) by start vertex, which are distinct, since from a fixed
+    start a word spells one walk."""
+    adj = _side_adjacency(ctx, host, None)
+    after, type_of = _KINDS_AFTER, _TYPE_OF_KINDS
+    tables = ctx._words[host]
+    walks = [((v,), (), "") for v in range(len(adj))]  # (positions, word, kinds)
+    levels = [({}, {})]
+    for length in range(1, max_len + 1):
         walks = [
             (positions + (u,), word + (letter,), after[kinds][letter[0]])
             for positions, word, kinds in walks
             for u, letter in adj[positions[-1]]
         ]
         # walks stay sorted by start vertex, the order decode_word uses
-        decoded: dict[Word, tuple[Walk, ...]] = {}
-        closed: set[Word] = set()
+        table = tables[length]
+        b_words: dict[int, list[Word]] = defaultdict(list)
         for positions, word, kinds in walks:
-            found = decoded.get(word)
-            if found is None:
-                decoded[word] = (positions,)
-                types[word] = _TYPE_OF_KINDS[kinds]
-            else:
-                decoded[word] = found + (positions,)
-            if positions[0] == positions[-1]:
-                closed.add(word)
-        memo.update(decoded)
-        sets.append((set(decoded), closed))
-    return sets
+            record = [(positions,), type_of[kinds], None]
+            found = table.setdefault(word, record)
+            if found is not record and positions not in found[0]:
+                # a repeated letter: its second walk, traced the other way
+                found[0] += (positions,)
+            if kinds == "bb":
+                b_words[positions[0]].append(word)
+        levels.append((table, b_words))
+    return levels
 
 
 # The injective maps; see the module docstring for the shape of the
@@ -578,23 +614,27 @@ def f_map(ctx: PathContext, word: Word, closed: bool = False) -> Word:
     """
     if not word:
         raise ValueError("cannot map an empty word")
-    if not _decoded(ctx, word, HOST_T):
+    record = ctx._words[HOST_T][len(word)].get(word) or _record(ctx, word, HOST_T)
+    if record is None:
         raise ValueError("word is not valid in the original tree")
-    wtype = ctx._types[word]
-    if wtype in (WordType.T21, WordType.T22) and not closed:
+    wtype = record[1]
+    if (wtype is _T21 or wtype is _T22) and not closed:
         raise ValueError(f"type {wtype.value} words are only mapped when closed")
-    return _f_image(ctx, word, wtype)
+    image = record[2]
+    return image if image is not None else _f_image(ctx, word, record)
 
 
-def _f_image(ctx: PathContext, word: Word, wtype: WordType) -> Word:
-    """The f-image of a T-word of type wtype that its caller has validated,
-    memoized on the context."""
-    if wtype is WordType.T0:
-        return word
-    image = ctx._f_images.get(word)
-    if image is None:
-        lead = "A" if wtype is WordType.T11 or wtype is WordType.T21 else "B"
-        image = ctx._f_images[word] = _f_surgery(ctx, word, lead)
+def _f_image(ctx: PathContext, word: Word, record: list) -> Word:
+    """The f-image of a T-word whose record its caller has read and whose
+    type it has checked, stored in that record; f_map and h_map read the
+    stored image first."""
+    wtype = record[1]
+    if wtype is _T0:
+        image = word
+    else:
+        lead = "A" if wtype is _T11 or wtype is _T21 else "B"
+        image = _f_surgery(ctx, word, lead)
+    record[2] = image
     return image
 
 
@@ -771,15 +811,17 @@ def h_map(ctx: PathContext, word: Word) -> Word:
     """
     if not word:
         raise ValueError("cannot map an empty word")
-    if not _decoded(ctx, word, HOST_T):
+    record = ctx._words[HOST_T][len(word)].get(word) or _record(ctx, word, HOST_T)
+    if record is None:
         raise ValueError("word is not valid in the original tree")
-    wtype = ctx._types[word]
-    if wtype is not WordType.T21 and wtype is not WordType.T22:
-        return _f_image(ctx, word, wtype)
+    wtype = record[1]
+    if wtype is not _T21 and wtype is not _T22:
+        image = record[2]
+        return image if image is not None else _f_image(ctx, word, record)
     # the start of the last proper C-run
     cut = max(lo for kind, lo, _hi in _runs(word)[1:-1] if kind == "C")
     prefix, suffix = word[:cut], word[cut:]
     mapped_prefix = f_map(ctx, prefix, closed=False)
-    if wtype is WordType.T21:
+    if wtype is _T21:
         return mapped_prefix + g_total(ctx, suffix)
     return mapped_prefix + g_total_aside(ctx, suffix)

@@ -116,6 +116,7 @@ class TestImportFootprint:
         _, after, code = _loaded_by(["verify", "injections", "--max-n", "4", "--max-len", "2"])
         assert code == 0
         assert {"treewalks.words", "treewalks.injections"} <= after
+        assert "treewalks.walks" not in after  # words needs only the Walk alias
 
 
 # Every name treewalks/__init__.py exported when it imported all of its

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -401,6 +402,78 @@ class TestInjectionSuites:
         assert h_checks and not any(c.passed for c in h_checks)
         assert all(c.lhs == c.rhs for c in h_checks)  # still injective
         assert all(c.passed for c in report.checks if c.name.startswith("f-"))
+
+    def test_f_closed_check_needs_a_closed_image(self, monkeypatch):
+        # c1 c1 is mapped once for both f domains; here, on paths of length
+        # >= 2, it goes to c1 c2, an open T'-word of its length and type, so
+        # only the closedness test of the f-closed check can reject it
+        from treewalks import injections
+
+        real = injections.f_map
+        bounce, bent = (("c", 1), ("c", 1)), (("c", 1), ("c", 2))
+
+        def f_map(ctx, word, closed=False):
+            return bent if word == bounce and ctx.k >= 2 else real(ctx, word, closed)
+
+        monkeypatch.setattr(injections, "f_map", f_map)
+        report = verify_injections(5, 2)
+        closed_checks = [c for c in report.checks if c.name == "f-closed-inject"]
+        bent_checks = [c for c in closed_checks if c.ell == 2 and len(c.path) >= 3]
+        assert bent_checks and not any(c.passed for c in bent_checks)
+        assert all(c.lhs == c.rhs for c in bent_checks)  # still injective
+        assert all(c.passed for c in closed_checks if c not in bent_checks)
+
+    def test_sweep_path_image_digest(self, monkeypatch):
+        # sha256 of the set of (tree, path, length, map, word, image) the
+        # sweep itself computes at n <= 6, l <= 5, recorded before the sweep
+        # mapped each word once.  A set, so that mapping a word once instead
+        # of twice leaves it unchanged; stdout sees only domain and image
+        # sizes, so this is what catches images that change but stay
+        # injective on the sweep's own path.
+        from treewalks import injections
+
+        seen = set()
+
+        def recording(name, real):
+            def mapped(ctx, word, *args, **kwargs):
+                image = real(ctx, word, *args, **kwargs)
+                head = (str(sorted(ctx.tree.edges)), ctx.path, len(word), name)
+                seen.add((*head, words.word_to_str(word), words.word_to_str(image)))
+                return image
+
+            return mapped
+
+        for name in ("f_map", "h_map", "g_even", "g_odd", "g_total"):
+            monkeypatch.setattr(injections, name, recording(name, getattr(injections, name)))
+        assert verify_injections(6, 5).ok
+        lines = "".join(f"{row}\n" for row in sorted(seen))
+        assert hashlib.sha256(lines.encode()).hexdigest() == SWEEP_IMAGE_DIGEST
+
+    def test_each_f_domain_word_is_mapped_once(self, monkeypatch):
+        # closed T0/T11/T12 words sit in both f domains but are mapped once
+        from treewalks import injections
+
+        calls = []
+        real = injections.f_map
+        monkeypatch.setattr(injections, "f_map", lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert verify_injections(6, 4).ok
+        assert len(calls) == 8054
+
+    def test_no_words_of_search_per_length(self, monkeypatch):
+        # the per-start word sets come from the word growth that serves
+        # word_sets, not from one words_of DFS per (start, part, length)
+        from treewalks import injections
+
+        calls = []
+        real = words.words_of
+        for module in (words, injections):
+            if hasattr(module, "words_of"):
+                monkeypatch.setattr(module, "words_of", lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert verify_injections(6, 4).ok
+        assert calls == []
+
+
+SWEEP_IMAGE_DIGEST = "14872bf459ceb51b667b21e51216979fb2b3d085bad78ce7a3b930f8f9d0cfd1"
 
 
 class TestWorkerPool:

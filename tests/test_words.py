@@ -223,12 +223,13 @@ class TestWordSets:
 class TestPerHostMemo:
     def test_memo_holds_each_hosts_walks(self):
         # oracle: group every enumerated walk of each host by its word; the
-        # memo keeps one dict per host, keyed by the word alone
+        # memo keeps one table per (host, length), keyed by the word, whose
+        # record holds the walks, the type and a still empty f-image slot
         for ctx in all_contexts(6):
             for host, host_tree in ((HOST_T, ctx.tree), (HOST_T2, ctx.transformed_tree)):
                 sets = word_sets(ctx, host, 4)
-                expected = {}
                 for ell in range(1, 5):
+                    expected = {}
                     for walk in enumerate_walks(host_tree, ell):
                         expected.setdefault(encode_walk(ctx, walk, host), []).append(walk)
                     closed = {
@@ -237,11 +238,14 @@ class TestPerHostMemo:
                         if w[0] == w[-1]
                     }
                     assert sets[ell][1] == closed
-                memo = ctx._walks[host]
-                assert {w: list(found) for w, found in memo.items()} == {
-                    w: sorted(found) for w, found in expected.items()
-                }
-            assert set(ctx._walks) == {HOST_T, HOST_T2}
+                    table = ctx._words[host][ell]
+                    assert {w: list(record[0]) for w, record in table.items()} == {
+                        w: sorted(found) for w, found in expected.items()
+                    }
+                    assert all(record[2] is None for record in table.values())
+            assert {(h, ell) for h, tables in ctx._words.items() for ell in tables} == {
+                (h, ell) for h in (HOST_T, HOST_T2) for ell in range(1, 5)
+            }
 
     @pytest.mark.parametrize(
         "text,valid_in,invalid_in",
@@ -252,10 +256,11 @@ class TestPerHostMemo:
         word = parse_word(text)
         for host in (HOST_T, HOST_T2):
             word_sets(k1, host, 3)
-        assert word in k1._walks[valid_in]
-        assert word not in k1._walks[invalid_in]
+        assert word in k1._words[valid_in][len(word)]
+        assert word not in k1._words[invalid_in][len(word)]
         assert decode_word(k1, word, valid_in)
         assert decode_word(k1, word, invalid_in) == []
+        assert word not in k1._words[invalid_in][len(word)]
 
     def test_decode_after_word_sets_is_a_fresh_list(self, k1):
         word = parse_word("c1 c1")
@@ -264,28 +269,62 @@ class TestPerHostMemo:
             walks = decode_word(k1, word, host)
             walks.clear()
             assert decode_word(k1, word, host) == [(1, 2, 1), (2, 1, 2)]
-            assert k1._walks[host][word] == ((1, 2, 1), (2, 1, 2))
+            assert k1._words[host][2][word][0] == ((1, 2, 1), (2, 1, 2))
+
+    def test_decode_on_demand_keeps_a_record_only_for_valid_words(self):
+        # oracle: a fresh context with no word sets; a word traced on demand
+        # gets the record word_sets would give it, and one that decodes to
+        # nothing gets none
+        for ctx in all_contexts(5):
+            for host in (HOST_T, HOST_T2):
+                primed = build_context(ctx.tree, ctx.p0, ctx.pk)
+                word_sets(primed, host, 3)
+                for ell in range(1, 4):
+                    for word in primed._words[host][ell]:
+                        assert decode_word(ctx, word, host)
+                        assert ctx._words[host][ell][word][:2] == primed._words[host][ell][word][:2]
+                        assert ctx._words[host][ell][word][1] is classify(word)
+                    bogus = (("c", ctx.k + 1),) * ell
+                    assert decode_word(ctx, bogus, host) == []
+                    assert ctx._words[host][ell].keys() == primed._words[host][ell].keys()
+
+    def test_growth_collects_the_b_side_words_of_each_start(self):
+        # oracle: words_of's DFS per start, less the path words, for every
+        # start vertex of both hosts
+        for ctx in all_contexts(6):
+            for host in (HOST_T, HOST_T2):
+                levels = words._grow_words(ctx, host, 4)
+                for ell in range(5):
+                    b_words = levels[ell][1]
+                    for start in range(ctx.tree.n):
+                        side = words_of(ctx, host, ell, start=start, part="B")
+                        path = words_of(ctx, host, ell, start=start, part="P")
+                        found = b_words.get(start, [])
+                        assert len(found) == len(set(found))
+                        assert set(found) == side - path
 
 
 class TestTypeTable:
     def test_entries_match_classify(self):
-        # oracle: the pure classify; the table holds every nonempty word of
-        # both hosts and nothing else
+        # oracle: the pure classify; the tables of a host hold every
+        # nonempty word of that host and nothing else
         for ctx in all_contexts(6):
-            seen = set()
             for host in (HOST_T, HOST_T2):
-                for words, _closed in word_sets(ctx, host, 5)[1:]:
-                    seen |= words
-            assert set(ctx._types) == seen
-            for word, wtype in ctx._types.items():
-                assert wtype is classify(word)
+                seen = set()
+                for words_of_length, _closed in word_sets(ctx, host, 5)[1:]:
+                    seen |= words_of_length
+                tables = list(ctx._words[host].values())
+                assert set().union(*tables) == seen
+                for table in tables:
+                    for word, record in table.items():
+                        assert record[1] is classify(word)
 
 
 class TestMemosUnderValidation:
     def test_open_type2_rejected_after_typing(self, k1):
         word = parse_word("a1 c1 b1")
         word_sets(k1, HOST_T, 3)
-        assert k1._types[word] is WordType.T21
+        assert k1._words[HOST_T][3][word][1] is WordType.T21
         with pytest.raises(ValueError, match="only mapped when closed"):
             f_map(k1, word, closed=False)
 
@@ -297,10 +336,25 @@ class TestMemosUnderValidation:
         for host in (HOST_T, HOST_T2):
             word_sets(k1, host, 4)
         assert not decode_word(k1, word, HOST_T)
-        assert (word in k1._types) == bool(decode_word(k1, word, HOST_T2))
+        assert word not in k1._words[HOST_T][len(word)]
+        assert (word in k1._words[HOST_T2][len(word)]) == bool(decode_word(k1, word, HOST_T2))
         for mapping in (f_map, h_map):
             with pytest.raises(ValueError, match="not valid in the original tree"):
                 mapping(k1, word)
+
+    def test_f_image_is_memoized_in_the_record(self):
+        # f and h hand out the image stored in the word's record, the same
+        # object each time, so the sweep's h check can recognise it
+        for ctx in all_contexts(5):
+            for words_of_length, closed in word_sets(ctx, HOST_T, 4)[1:]:
+                for word in words_of_length:
+                    record = ctx._words[HOST_T][len(word)][word]
+                    if classify(word) in (WordType.T0, WordType.T11, WordType.T12):
+                        image = f_map(ctx, word)
+                        assert record[2] is image
+                        assert h_map(ctx, word) is image
+                    elif word in closed:
+                        assert f_map(ctx, word, closed=True) is record[2]
 
     def test_h_map_on_typed_words_matches_fresh_f_map(self):
         # h takes its f-images from the memoized surgery; a fresh context
