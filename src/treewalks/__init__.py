@@ -66,7 +66,6 @@ _EXPORTS = {
         "PathContext",
         "Word",
         "WordType",
-        "block_decompose",
         "build_context",
         "classify",
         "conjugate",
@@ -78,7 +77,6 @@ _EXPORTS = {
         "g_total",
         "h_map",
         "reverse",
-        "split_c_block",
     ),
 }
 

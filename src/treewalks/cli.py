@@ -11,14 +11,19 @@ Subcommands:
   preorder, larger subtrees first.
 - ``count --kind closed|all|paths|wiener [--len L] FILE...``: exact counts.
 - ``kc --tree FILE (--x X --y Y | --list-moves)``: the end-to-end path move.
-- ``verify closed-extremal|kc-monotone|injections|path-extremal``: the
-  exhaustive sweeps, one CSV row per check (``instance,lhs,rhs,relation,
-  passed``) or one JSON object with the scope, the check count and the
-  violations.  ``verify injections --format summary`` prints one row per
-  (tree, bare path, length) instead: ``tree,path,len,domain,image,
-  violations``, where tree is ``n/index``, domain and image are the sizes
-  of the h-map's domain and image, and violations counts the failed checks
-  there.  CSV and summary rows are written as the sweep runs.
+- ``verify closed-extremal|kc-monotone|injections --max-n N --max-len L``
+  and ``verify path-extremal --max-n N --len L``: the exhaustive sweeps.
+  ``--format csv`` (default) prints one row per check (``instance,lhs,rhs,
+  relation,passed``), ``--format json`` one object with the scope, the
+  check count and the violations.  ``verify injections --format summary``
+  prints one row per (tree, bare path, length) instead: ``tree,path,len,
+  domain,image,violations``, where tree is ``n/index``, domain and image
+  are the sizes of the h-map's domain and image, and violations counts the
+  failed checks there.  CSV and summary rows are written as the sweep
+  runs.  ``--kind closed|all|both`` (kc-monotone only, default ``both``)
+  picks the walk counts; ``--workers W`` (injections only, default 1) runs
+  the trees in up to W processes, one per CPU at most, with the same
+  output.
 - ``counterexample --c C --k K --len L``: distance sum up, walk counts up.
 - ``broom-profile --n N --len L``: path counts across leg counts.
 - ``dc-reduce --tree FILE --len L``: the greedy delete-clone reduction.
@@ -115,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-len", type=int, required=True)
         formats = ["csv", "json", "summary"] if name == "injections" else ["csv", "json"]
         p.add_argument("--format", choices=formats, default="csv")
-        if name != "closed-extremal":
+        if name == "injections":
             p.add_argument("--workers", type=int, default=1)
         if name == "kc-monotone":
             p.add_argument("--kind", choices=["closed", "all", "both"], default="both")
@@ -221,9 +226,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if name == "closed-extremal":
         report = verify_closed_extremal(args.max_n, args.max_len, emit=writer)
     elif name == "kc-monotone":
-        report = verify_kc_monotone(
-            args.max_n, args.max_len, kind=args.kind, workers=args.workers, emit=writer
-        )
+        report = verify_kc_monotone(args.max_n, args.max_len, kind=args.kind, emit=writer)
     elif name == "injections":
         report = verify_injections(args.max_n, args.max_len, workers=args.workers, emit=writer)
     else:

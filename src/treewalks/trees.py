@@ -240,7 +240,10 @@ def format_tree_text(t: Tree) -> str:
 
 
 def parse_tree_text(text: str) -> Tree:
-    """Parse the tree text format; malformed input reports the line number."""
+    """Parse the tree text format; malformed input reports the line number.
+    An edge line with a vertex out of range, a self-loop or an edge already
+    given (in either orientation) is reported at its own line; a wrong edge
+    count or a disconnected graph at line 1."""
     lines = text.splitlines()
     rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
@@ -250,7 +253,7 @@ def parse_tree_text(text: str) -> Tree:
         n = int(head)
     except ValueError:
         raise ValueError(f"line {lineno}: expected vertex count, got {head!r}") from None
-    edges = []
+    edges: dict[Edge, int] = {}  # normalized edge -> its line
     for lineno, row in rows[1:]:
         parts = row.split()
         if len(parts) != 2:
@@ -259,7 +262,14 @@ def parse_tree_text(text: str) -> Tree:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer vertex in {row!r}") from None
-        edges.append((u, v))
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"line {lineno}: edge {row!r} out of range for n={n}")
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop at vertex {u}")
+        edge = (u, v) if u < v else (v, u)
+        if edge in edges:
+            raise ValueError(f"line {lineno}: edge {row!r} repeats line {edges[edge]}")
+        edges[edge] = lineno
     try:
         return tree(n, edges)
     except ValueError as exc:

@@ -121,10 +121,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def finalize(self) -> "VerificationReport":
-        self.checks.sort(key=attrgetter("instance"))
-        return self
-
 
 class _Writer:
     """A block consumer that renders checks through ``out`` as they come:
@@ -245,7 +241,7 @@ def report_to_json(report: VerificationReport) -> str:
 
 def report_to_summary(report: VerificationReport) -> str:
     """The summary rows (see ``_SummaryWriter``) of a collected per-tree
-    report, in its (finalized) check order."""
+    report, in its check order."""
     return _render("summary", report)
 
 
@@ -366,10 +362,7 @@ class _KcMonotoneRows:
     first shows up as a base tree or as a moved one.  A moved tree has its source's order, so
     its profiles are a lookup once its code is known.  A move along a path
     with a leaf end gives the base tree back (y a leaf) or its path
-    reflected end for end (x a leaf), so it needs no code at all.  With
-    ``--workers`` each chunk of jobs gets its own copy of the instance and
-    fills its own table; the checks do not depend on which table served
-    them.
+    reflected end for end (x a leaf), so it needs no code at all.
 
     Rows are built in report order, so the sweep's sort finds them sorted:
     paths by their ``-``-joined string (``1-10`` before ``1-2``), then ell,
@@ -422,9 +415,7 @@ class _KcMonotoneRows:
         return rows
 
 
-def verify_kc_monotone(
-    max_n: int, max_len: int, kind: str = "closed", workers: int = 1, emit=None
-) -> VerificationReport:
+def verify_kc_monotone(max_n: int, max_len: int, kind: str = "closed", emit=None) -> VerificationReport:
     """Counts of the given kind ('closed', 'all', or 'both') must never
     decrease under any single end-to-end path move, over every tree up to
     max_n and every bare path.  'both' checks the two kinds in one pass."""
@@ -432,13 +423,12 @@ def verify_kc_monotone(
         raise ValueError(f"kind must be 'closed', 'all' or 'both', got {kind!r}")
     _require_max_n(max_n, 2)
     _require("max_len", max_len, 1)
-    _require("workers", workers, 1)
     kinds = ("closed", "all") if kind == "both" else (kind,)
     report = VerificationReport(scope={"max_n": max_n, "max_len": max_len, "kind": kind})
     # the enumeration sorted its trees by code, so each base tree's code is
     # a cache hit; leaf_rooted only relabels, so the code is its class's
     rows = _KcMonotoneRows(max_len, kinds)
-    return _sweep_trees(report, emit, rows, max_n, lambda t: (canonical_code(t),), workers)
+    return _sweep_trees(report, emit, rows, max_n, lambda t: (canonical_code(t),), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,7 @@ The maps:
   type-preserving injection on all T-words.
 
 The maps read a word's blocks from one scan of its letters (_runs), as
-(kind, start, end) index ranges, and slice the word by them; no Block
-records are built.  block_decompose wraps the same scan.  The f-surgery
+(kind, start, end) index ranges, and slice the word by them.  The f-surgery
 splits a C-run by index arithmetic on path positions (c_j joins p_(j-1)
 and p_j), and a word with no letter of the other side has no C-run to
 split, so it is kept or conjugated whole.
@@ -88,15 +87,12 @@ from .transforms import _kc_along, _path_if_bare
 from .trees import Tree
 
 __all__ = [
-    "Block",
-    "BlockSeq",
     "HOST_T",
     "HOST_T2",
     "Letter",
     "PathContext",
     "Word",
     "WordType",
-    "block_decompose",
     "build_context",
     "classify",
     "conjugate",
@@ -110,7 +106,6 @@ __all__ = [
     "h_map",
     "parse_word",
     "reverse",
-    "split_c_block",
     "word_sets",
     "word_to_str",
     "words_of",
@@ -361,32 +356,6 @@ def _is_closed(walks: tuple[Walk, ...]) -> bool:
     return first[0] == first[-1]
 
 
-@dataclass(frozen=True)
-class Block:
-    kind: str  # 'A' | 'B' | 'C'
-    letters: Word
-
-
-@dataclass(frozen=True)
-class BlockSeq:
-    blocks: tuple[Block, ...]
-
-    def is_proper(self, i: int) -> bool:
-        return 0 < i < len(self.blocks) - 1
-
-    @property
-    def proper_c_count(self) -> int:
-        return sum(
-            1
-            for i, b in enumerate(self.blocks)
-            if b.kind == "C" and self.is_proper(i)
-        )
-
-    @property
-    def non_c_kinds(self) -> tuple[str, ...]:
-        return tuple(b.kind for b in self.blocks if b.kind != "C")
-
-
 def _runs(word: Word) -> list[tuple[str, int, int]]:
     """The maximal blocks of a word as (kind, start, end) index ranges, from
     one scan of its letters: each run of same-kind non-c letters, with the
@@ -405,13 +374,6 @@ def _runs(word: Word) -> list[tuple[str, int, int]]:
     if cursor < len(word):
         runs.append(("C", cursor, len(word)))
     return runs
-
-
-def block_decompose(word: Word) -> BlockSeq:
-    """The unique decomposition into maximal A-, B- and C-blocks."""
-    if not word:
-        raise ValueError("cannot decompose an empty word")
-    return BlockSeq(tuple(Block(kind, word[lo:hi]) for kind, lo, hi in _runs(word)))
 
 
 def classify(word: Word) -> WordType:
@@ -464,27 +426,11 @@ def reverse(word: Word) -> Word:
     return tuple(reversed(word))
 
 
-# named by the path end the walk starts at and is cut at
-_SPLIT_MODES = ("last-visit-p0", "last-visit-pk")
-
-
-def split_c_block(ctx: PathContext, cblock: Word, mode: str) -> tuple[Word, Word]:
-    """Split a path-walk word at its walk's last visit to the path end it
-    starts from: p_0 for mode last-visit-p0, p_k for last-visit-pk."""
-    if mode not in _SPLIT_MODES:
-        raise ValueError(f"unknown split mode {mode!r}")
-    if any(kind != "c" for kind, _ in cblock):
-        raise ValueError("split_c_block takes pure path words")
-    cut = _c_cut(cblock, 0, len(cblock), ctx.k, mode)
-    return cblock[:cut], cblock[cut:]
-
-
-def _c_cut(word: Word, lo: int, hi: int, k: int, mode: str) -> int:
-    """Where split_c_block cuts the c-run word[lo:hi]: just past its walk's
-    last visit to the path end given by mode.  The walk is followed on path
-    positions, where c_j joins p_(j-1) and p_j; ValueError when the run
-    does not walk from that end."""
-    end = k if mode == "last-visit-pk" else 0
+def _c_cut(word: Word, lo: int, hi: int, k: int, end: int) -> int:
+    """Where the f-surgery cuts the c-run word[lo:hi]: just past its walk's
+    last visit to the path end at position ``end`` (0 or k), where the walk
+    starts.  The walk is followed on path positions, where c_j joins
+    p_(j-1) and p_j; ValueError when the run does not walk from that end."""
     pos = end
     cut = lo
     for i in range(lo, hi):
@@ -494,9 +440,7 @@ def _c_cut(word: Word, lo: int, hi: int, k: int, mode: str) -> int:
         elif pos == j and j > 0:
             pos = j - 1
         else:
-            raise ValueError(
-                f"not a path-walk word from the start implied by mode {mode!r}"
-            )
+            raise ValueError(f"not a path-walk word from p_{end}")
         if pos == end:
             cut = i + 1
     return cut
@@ -649,9 +593,9 @@ def _f_surgery(ctx: PathContext, word: Word, lead: str) -> Word:
     round.  The blocks are read as index ranges of the word."""
     get = ctx._conjugation.get
     if lead == "A":
-        other, other_letter, mode, conjugate_kept = "B", "b", "last-visit-p0", False
+        other, other_letter, end, conjugate_kept = "B", "b", 0, False
     else:
-        other, other_letter, mode, conjugate_kept = "A", "a", "last-visit-pk", True
+        other, other_letter, end, conjugate_kept = "A", "a", ctx.k, True
     if other_letter not in map(itemgetter(0), word):
         # no other-side block: nothing is split, every letter is kept
         return tuple(map(get, word, word)) if conjugate_kept else word
@@ -668,7 +612,7 @@ def _f_surgery(ctx: PathContext, word: Word, lead: str) -> Word:
             out.extend(pending)
             pending = None
         elif kind == "C" and 0 < i < last and runs[i + 1][0] == other:
-            cut = _c_cut(word, lo, hi, ctx.k, mode)
+            cut = _c_cut(word, lo, hi, ctx.k, end)
             head, tail = word[lo:cut], word[cut:hi][::-1]
             out.extend(map(get, head, head) if conjugate_kept else head)
             pending = tail if conjugate_kept else tuple(map(get, tail, tail))

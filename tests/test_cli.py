@@ -13,6 +13,7 @@ import pytest
 
 import treewalks
 from treewalks.cli import main
+from treewalks.generate import from_pruefer
 from treewalks.trees import parse_tree_text
 from treewalks.verify import (
     report_to_csv,
@@ -88,6 +89,12 @@ GOLDEN_ENUMERATE = {
     10: "57efe40707a608b390ab6fe760d58faeb644059f10f80b8035b1e5f08beaf2cd",
     11: "c83e9e5d27ea99ce472ddd193a94989d486a32d47d22bd883fe2f48fa7fdeb8b",
     12: "47546be449646d9d62eb02512035ad992f18d6009b86f02431c8f21105ef2773",
+}
+
+# stdout digest of `enumerate --n 7` in the other two formats
+GOLDEN_ENUMERATE_FORMATS = {
+    "dot": "7e2c8ce894a340633933bc1a8a7cdf16e422b56bae56040e62de21ced7048a36",
+    "pruefer": "a282588f02dbee1e6ee8537b3ab0a07dd6afae25aa927cf286b9c80f2376c681",
 }
 
 # stdout digest of the word-map injection reports, recorded before the
@@ -193,19 +200,28 @@ def test_injections_two_workers_match_one(argv, capsys):
     assert outputs[0][0] == 0
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_kc_monotone_two_workers_match_one(fmt, capsys):
-    argv = ["verify", "kc-monotone", "--max-n", "6", "--max-len", "4", "--format", fmt]
-    outputs = [run(argv + ["--workers", w], capsys) for w in ("1", "2")]
-    assert outputs[0] == outputs[1]
-    assert outputs[0][0] == 0
-
-
 @pytest.mark.parametrize("n,digest", GOLDEN_ENUMERATE.items())
 def test_golden_enumerate(n, digest, capsys):
     code, out, err = run(["enumerate", "--n", str(n)], capsys)
     assert (code, err) == (0, "")
     assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("fmt,digest", GOLDEN_ENUMERATE_FORMATS.items())
+def test_golden_enumerate_formats(fmt, digest, capsys):
+    code, out, err = run(["enumerate", "--n", "7", "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert sha256(out) == digest
+
+
+def test_enumerate_pruefer_lines_decode_to_edgelist_trees(capsys):
+    _, edgelist, _ = run(["enumerate", "--n", "7"], capsys)
+    _, pruefer, _ = run(["enumerate", "--n", "7", "--format", "pruefer"], capsys)
+    lines = edgelist.splitlines()
+    listed = [parse_tree_text("\n".join(lines[i : i + 7])) for i in range(0, len(lines), 7)]
+    decoded = [from_pruefer(list(map(int, line.split())), 7) for line in pruefer.splitlines()]
+    assert len(decoded) == 11
+    assert decoded == listed
 
 
 def test_enumerate_rejects_n_past_cap(capsys):
@@ -246,6 +262,14 @@ def test_kc_rejects_missing_or_non_bare_pair(extra, message, fixed_tree, capsys)
     code, out, err = run(["kc", "--tree", fixed_tree, *extra], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+def test_count_rejects_repeated_edge(tmp_path, capsys):
+    path = tmp_path / "repeated.tree"
+    path.write_text("3\n0 1\n1 0\n1 2\n")
+    code, out, err = run(["count", "--kind", "wiener", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: edge '1 0' repeats line 2\n"
 
 
 def test_count_several_files(fixed_tree, capsys):
@@ -362,9 +386,14 @@ def test_summary_format_is_injections_only(command, capsys):
     assert "invalid choice: 'summary'" in err
 
 
-def test_closed_extremal_has_no_workers_flag(capsys):
+@pytest.mark.parametrize(
+    "command,scope",
+    [("closed-extremal", "--max-len"), ("kc-monotone", "--max-len"), ("path-extremal", "--len")],
+    ids=["closed-extremal", "kc-monotone", "path-extremal"],
+)
+def test_no_workers_flag_outside_injections(command, scope, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "closed-extremal", "--max-n", "4", "--max-len", "4", "--workers", "2"])
+        main(["verify", command, "--max-n", "4", scope, "4", "--workers", "2"])
     out, err = capsys.readouterr()
     assert exc.value.code == 2
     assert out == ""
@@ -382,10 +411,6 @@ EMPTY_SCOPES = [
     (["verify", "path-extremal", "--max-n", "0", "--len", "4"], "max_n must be >= 1, got 0"),
     (["verify", "path-extremal", "--max-n", "4", "--len", "1"], "ell must be >= 2, got 1"),
     (["verify", "injections", "--max-n", "1", "--max-len", "3"], "max_n must be >= 2, got 1"),
-    (
-        ["verify", "kc-monotone", "--max-n", "4", "--max-len", "2", "--workers", "0"],
-        "workers must be >= 1, got 0",
-    ),
     (
         ["verify", "injections", "--max-n", "4", "--max-len", "2", "--workers", "-1"],
         "workers must be >= 1, got -1",

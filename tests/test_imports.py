@@ -146,9 +146,9 @@ PUBLIC_API = {
         "enumerate_walks", "wiener",
     ],
     "words": [
-        "PathContext", "Word", "WordType", "block_decompose", "build_context",
-        "classify", "conjugate", "decode_word", "encode_walk", "f_map",
-        "g_even", "g_odd", "g_total", "h_map", "reverse", "split_c_block",
+        "PathContext", "Word", "WordType", "build_context", "classify",
+        "conjugate", "decode_word", "encode_walk", "f_map", "g_even", "g_odd",
+        "g_total", "h_map", "reverse",
     ],
 }
 PUBLIC_NAMES = [(module, name) for module, names in PUBLIC_API.items() for name in names]
@@ -161,11 +161,10 @@ MODULE_ALL = {
         "kc_transform", "valency",
     ],
     "words": [
-        "Block", "BlockSeq", "HOST_T", "HOST_T2", "Letter", "PathContext",
-        "Word", "WordType", "block_decompose", "build_context", "classify",
-        "conjugate", "decode_word", "encode_walk", "f_map", "g_even", "g_odd",
-        "g_total", "g_total_aside", "h_map", "parse_word", "reverse",
-        "split_c_block", "word_sets", "word_to_str", "words_of",
+        "HOST_T", "HOST_T2", "Letter", "PathContext", "Word", "WordType",
+        "build_context", "classify", "conjugate", "decode_word", "encode_walk",
+        "f_map", "g_even", "g_odd", "g_total", "g_total_aside", "h_map",
+        "parse_word", "reverse", "word_sets", "word_to_str", "words_of",
     ],
 }
 

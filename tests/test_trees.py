@@ -271,6 +271,24 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 1"):
             parse_tree_text("nope\n0 1\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("3\n0 1\n1 0\n1 2\n", "line 3: edge '1 0' repeats line 2"),
+            ("3\n0 1\n1 2\n2 2\n", "line 4: self-loop at vertex 2"),
+            ("3\n0 1\n\n1 3\n", "line 4: edge '1 3' out of range for n=3"),
+        ],
+        ids=["repeated", "self-loop", "out-of-range"],
+    )
+    def test_bad_edge_reports_its_line(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_tree_text(text)
+        assert str(exc.value) == message
+
+    def test_edge_count_reports_line_one(self):
+        with pytest.raises(ValueError, match="^line 1: invalid tree: "):
+            parse_tree_text("3\n0 1\n")
+
     def test_dot_output(self, p4):
         dot = to_dot(p4)
         assert dot.startswith("graph") and "0 -- 1" in dot

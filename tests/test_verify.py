@@ -59,12 +59,12 @@ class TestCheckRecords:
         report = VerificationReport(
             scope={},
             checks=[
-                Check(4, 3, "h-inject", 5, 4, "==", False, **cell),
-                Check(4, 3, "lemma-odd", 1, 0, "<=", False, **cell),
                 Check(4, 2, "f-closed-inject", 2, 2, "==", True, **cell),
                 Check(4, 2, "h-inject", 6, 6, "==", True, **cell),
+                Check(4, 3, "h-inject", 5, 4, "==", False, **cell),
+                Check(4, 3, "lemma-odd", 1, 0, "<=", False, **cell),
             ],
-        ).finalize()
+        )
         assert report_to_summary(report) == (
             "tree,path,len,domain,image,violations\n"
             "04/001,0-1,2,6,6,0\n"
@@ -520,9 +520,9 @@ class TestWorkerPool:
         import os
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        wide = verify_kc_monotone(5, 3, workers=5000).checks
+        wide = verify_injections(4, 3, workers=5000).checks
         assert pools == [2]
-        assert wide == verify_kc_monotone(5, 3, workers=1).checks
+        assert wide == verify_injections(4, 3, workers=1).checks
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from treewalks.words import (
     HOST_T,
     HOST_T2,
     WordType,
-    block_decompose,
     build_context,
     classify,
     conjugate,
@@ -27,7 +26,6 @@ from treewalks.words import (
     h_map,
     parse_word,
     reverse,
-    split_c_block,
     word_sets,
     word_to_str,
     words_of,
@@ -367,30 +365,35 @@ class TestMemosUnderValidation:
                         assert h_map(ctx, word) == f_map(fresh, word, closed=False)
 
 
+def blocks_of(word):
+    """A word's maximal blocks as (kind, letters), from the maps' own scan."""
+    return [(kind, word[lo:hi]) for kind, lo, hi in words._runs(word)]
+
+
+def proper_c_count(kinds):
+    """The C-blocks with a block on each side: the separating C-runs."""
+    return sum(1 for kind in kinds[1:-1] if kind == "C")
+
+
 class TestGrammar:
     def test_blocks_example(self):
-        seq = block_decompose(parse_word("a1 c1 b1 b1 c1 a1"))
-        assert [(b.kind, word_to_str(b.letters)) for b in seq.blocks] == [
+        blocks = blocks_of(parse_word("a1 c1 b1 b1 c1 a1"))
+        assert [(kind, word_to_str(letters)) for kind, letters in blocks] == [
             ("A", "a1"),
             ("C", "c1"),
             ("B", "b1 b1"),
             ("C", "c1"),
             ("A", "a1"),
         ]
-        assert seq.proper_c_count == 2
+        assert proper_c_count([kind for kind, _ in blocks]) == 2
 
     def test_outer_c_blocks_not_proper(self):
-        seq = block_decompose(parse_word("c1 a1 c1"))
-        assert [b.kind for b in seq.blocks] == ["C", "A", "C"]
-        assert seq.proper_c_count == 0
+        kinds = [kind for kind, _ in blocks_of(parse_word("c1 a1 c1"))]
+        assert kinds == ["C", "A", "C"]
+        assert proper_c_count(kinds) == 0
 
     def test_single_c_block(self):
-        seq = block_decompose(parse_word("c1 c1 c1"))
-        assert [b.kind for b in seq.blocks] == ["C"]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            block_decompose(())
+        assert [kind for kind, _ in blocks_of(parse_word("c1 c1 c1"))] == ["C"]
 
     def test_classify_examples(self):
         assert classify(parse_word("c1 c1")) is WordType.T0
@@ -403,13 +406,14 @@ class TestGrammar:
         for ctx in all_contexts(6):
             for ell in range(1, 6):
                 for word in t_words(ctx, ell):
-                    seq = block_decompose(word)
-                    non_c = seq.non_c_kinds
+                    kinds = [kind for kind, _ in blocks_of(word)]
+                    non_c = [kind for kind in kinds if kind != "C"]
                     if not non_c:
                         assert classify(word) is WordType.T0
                         continue
-                    assert seq.proper_c_count == len(non_c) - 1
-                    even = seq.proper_c_count % 2 == 0
+                    separating = proper_c_count(kinds)
+                    assert separating == len(non_c) - 1
+                    even = separating % 2 == 0
                     tag = classify(word)
                     assert even == (tag in (WordType.T11, WordType.T12))
 
@@ -417,7 +421,7 @@ class TestGrammar:
         for ctx in all_contexts(6):
             for ell in range(1, 6):
                 for word in t_words(ctx, ell):
-                    kinds = [b.kind for b in block_decompose(word).blocks]
+                    kinds = [kind for kind, _ in blocks_of(word)]
                     for left, right in zip(kinds, kinds[1:]):
                         assert not (left in "AB" and right in "AB")
 
@@ -462,13 +466,20 @@ class TestInvolutions:
                     assert reverse(word) == encode_walk(ctx, walk[::-1], HOST_T)
 
 
+def split_c_run(ctx, word, end):
+    """Split a path-walk word where the f-surgery cuts it: just past its
+    walk's last visit to path position end (0 or k), where it starts."""
+    cut = words._c_cut(word, 0, len(word), ctx.k, end)
+    return word[:cut], word[cut:]
+
+
 class TestSplitCBlock:
     def test_k1_last_visit_start(self, k1):
-        left, right = split_c_block(k1, parse_word("c1"), "last-visit-p0")
+        left, right = split_c_run(k1, parse_word("c1"), 0)
         assert left == () and word_to_str(right) == "c1"
 
     def test_k2_last_visit_start(self, k2):
-        left, right = split_c_block(k2, parse_word("c1 c1 c1 c2"), "last-visit-p0")
+        left, right = split_c_run(k2, parse_word("c1 c1 c1 c2"), 0)
         assert word_to_str(left) == "c1 c1"
         assert word_to_str(right) == "c1 c2"
 
@@ -476,12 +487,8 @@ class TestSplitCBlock:
         for ctx in (k2, k3):
             for ell in range(1, 8):
                 for word in words_of(ctx, HOST_T, ell, start=ctx.p0, part="P"):
-                    left, right = split_c_block(ctx, word, "last-visit-p0")
+                    left, right = split_c_run(ctx, word, 0)
                     assert left + right == word
-
-    def test_non_c_letters_rejected(self, k1):
-        with pytest.raises(ValueError):
-            split_c_block(k1, parse_word("c1 b1"), "last-visit-p0")
 
 
 class TestFMap:
@@ -499,6 +506,14 @@ class TestFMap:
         image = f_map(k1, parse_word("a1 c1 b1 b1 c1 a1"), closed=True)
         assert word_to_str(image) == "a1 b1 b1 c1 c1 a1"
         assert is_closed(k1, image, HOST_T2)
+
+    def test_b_lead_cuts_at_last_visit_to_pk(self, k2):
+        # the C-run before the A-block leaves p_2, comes back once, and then
+        # walks to p_0, so it is cut after that return; with k >= 2 such a
+        # run needs a word of length >= 7, past the reference layer's words
+        image = f_map(k2, parse_word("b1 c2 c2 c2 c1 a1 a1 c1 c2 b1"), closed=True)
+        assert word_to_str(image) == "b1 c1 c1 a1 a1 c1 c2 c2 c1 b1"
+        assert is_closed(k2, image, HOST_T2)
 
     def test_single_letters_fixed(self):
         for ctx in all_contexts(5):
@@ -842,7 +857,7 @@ class TestReferenceLayer:
                     mixed = {w for w in domain if {"a", "b"} <= {kind for kind, _ in w}}
                     domain, closed = mixed, closed & mixed
                 for word in domain:
-                    assert [(b.kind, b.letters) for b in block_decompose(word).blocks] == ref_blocks(word)
+                    assert blocks_of(word) == ref_blocks(word)
                     expected = ref_h(ctx, word)  # ref_f(ctx, word) on the f-open types
                     assert h_map(ctx, word) == expected
                     if classify(word) in f_open:
@@ -856,10 +871,10 @@ class TestReferenceLayer:
     def test_split_matches_reference(self, t):
         for bp in bare_paths(t):
             ctx = build_context(t, *bp.endpoints)
-            for mode, end in (("last-visit-p0", ctx.p0), ("last-visit-pk", ctx.pk)):
+            for position, end in ((0, ctx.p0), (ctx.k, ctx.pk)):
                 for ell in range(7):
                     for word in words_of(ctx, HOST_T, ell, start=end, part="P"):
-                        assert split_c_block(ctx, word, mode) == ref_split(ctx, word, end)
+                        assert split_c_run(ctx, word, position) == ref_split(ctx, word, end)
 
 
 class TestSerialization:
