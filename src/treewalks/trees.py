@@ -37,9 +37,9 @@ Edge = tuple[int, int]
 class Tree:
     """A tree given by its vertex count and edge set.
 
-    Construction validates the invariants: exactly n-1 distinct edges over
-    {0..n-1}, no self-loops, connected.  Edges are normalized to (u, v)
-    tuples with u < v.
+    Construction validates the invariants: exactly n-1 edges over
+    {0..n-1}, none repeated in either orientation, no self-loops,
+    connected.  Edges are normalized to (u, v) tuples with u < v.
     """
 
     n: int
@@ -56,10 +56,12 @@ class Tree:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             norm.add((u, v) if u < v else (v, u))
+        if len(norm) != len(self.edges):
+            raise ValueError(f"repeated edge: {len(self.edges)} edges given, {len(norm)} distinct")
         if len(norm) != self.n - 1:
             raise ValueError(
                 f"a tree on {self.n} vertices needs exactly {self.n - 1} "
-                f"distinct edges, got {len(norm)}"
+                f"edges, got {len(norm)}"
             )
         object.__setattr__(self, "edges", frozenset(norm))
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -107,8 +109,11 @@ class Tree:
 
 
 def tree(n: int, edges: Iterable[Edge]) -> Tree:
-    """Convenience constructor accepting any iterable of edge pairs."""
-    return Tree(n, frozenset(tuple(e) for e in edges))
+    """Convenience constructor accepting any iterable of edge pairs; a
+    repeated edge raises ValueError like any other invalid edge list."""
+    # a list, not a set, so a repeat reaches Tree's check; not a tuple,
+    # whose freed copies CPython keeps on a free list per length
+    return Tree(n, [tuple(e) for e in edges])
 
 
 def distances_from(t: Tree, source: int) -> list[int]:

@@ -5,6 +5,12 @@ multi-broom path-count optimization.
 Every reported relation is recomputed from exact integer counts; sweeps
 cache per-tree counts only inside a single run.
 
+The whole-order sweeps and kc-monotone have one shape: a loop over the
+orders that enumerates each order's free trees once, keys that order's
+table of counts by canonical code, and checks from the table.  The
+injection sweep alone builds one job per tree and runs them through
+``_pmap``, in worker processes if asked.
+
 Sweeps stream.  Each ``verify_*`` sweep hands its checks to a consumer in
 blocks, one per tree (kc-monotone, injections) or per order (closed- and
 path-extremal), each block sorted by ``Check.instance`` and the blocks in
@@ -335,100 +341,73 @@ def verify_closed_extremal(max_n: int, max_len: int, emit=None) -> VerificationR
     return _stream(report, blocks(), emit)
 
 
-def _sweep_trees(report, emit, rows_fn, max_n: int, job, workers: int) -> VerificationReport:
-    """The per-tree sweep driver: enumerate every free tree of order
-    2..max_n, run ``rows_fn((tree, index, *job(enumerated)))`` on each (in
-    ``workers`` processes), and stream each tree's checks in (n, index)
-    order.  Each tree carries the labels ``enumerate`` prints
-    (``leaf_rooted``), since the checks name its vertices; ``job`` gives
-    the rest of the job tuple from the tree as enumerated."""
-    from .generate import enumerate_free_trees, leaf_rooted
+def _kc_monotone_rows(t: Tree, index: int, base: dict, table: dict, max_len: int, kinds) -> list:
+    """The kc-monotone checks of tree ``t``, the ``index``-th of its order.
 
-    jobs = (
-        (leaf_rooted(t), index, *job(t))
-        for n in range(2, max_n + 1)
-        for index, t in enumerate(enumerate_free_trees(n))
-    )
-    return _stream(report, _pmap(rows_fn, jobs, workers), emit)
-
-
-class _KcMonotoneRows:
-    """The kc-monotone checks of one tree per call, on one job tuple
-    (tree, index among its order, canonical code of its class).
-
-    Profiles come from one table per order, keyed by canonical code; the
-    instance lives for one sweep and starts a new table at each order.
-    Each class's closed and all-walk profiles are computed once, whether it
-    first shows up as a base tree or as a moved one.  A moved tree has its source's order, so
-    its profiles are a lookup once its code is known.  A move along a path
-    with a leaf end gives the base tree back (y a leaf) or its path
-    reflected end for end (x a leaf), so it needs no code at all.
+    ``base`` holds t's profiles by kind, and ``table`` the profiles of every
+    class of t's order, keyed by canonical code.  A moved tree has its
+    source's order, so its profiles are a lookup once its code is known.  A
+    move along a path with a leaf end gives the base tree back (y a leaf)
+    or its path reflected end for end (x a leaf), so it needs no code at
+    all.
 
     Rows are built in report order, so the sweep's sort finds them sorted:
     paths by their ``-``-joined string (``1-10`` before ``1-2``), then ell,
-    then kind by name.  Each row's instance is set from a prefix built
-    once per path."""
-
-    def __init__(self, max_len: int, kinds: tuple[str, ...]):
-        self.max_len = max_len
-        self.kinds = tuple(sorted(kinds))
-        self.n = None
-        self.table: dict[str, dict] = {}
-
-    def profiles(self, t: Tree, code: str) -> dict:
-        if t.n != self.n:
-            self.n, self.table = t.n, {}
-        found = self.table.get(code)
-        if found is None:
-            from .walks import closed_walk_profile, walk_profile
-
-            kernels = {"closed": closed_walk_profile, "all": walk_profile}
-            found = {kind: kernels[kind](t, self.max_len) for kind in self.kinds}
-            self.table[code] = found
-        return found
-
-    def __call__(self, args) -> list:
-        t, index, code = args
-        n, adj = t.n, t.adjacency
-        base = self.profiles(t, code)
-        moves = []
-        for bp in bare_paths(t):
-            path = bp.vertices
-            if len(adj[path[0]]) == 1 or len(adj[path[-1]]) == 1:
-                moved = base
-            else:
-                moved_tree = _kc_along(t, path)
-                moved = self.profiles(moved_tree, canonical_code(moved_tree))
-            moves.append(("-".join(map(str, path)), path, moved))
-        moves.sort(key=itemgetter(0))
-        head = f"n={n:02d} t={str(index).zfill(_INDEX_DIGITS.get(n, 3))} path="
-        rows = []
-        for pid, path, moved in moves:
-            prefix = f"{head}{pid} len="
-            for ell in range(1, self.max_len + 1):
-                lead = f"{prefix}{ell:02d} "
-                for kind in self.kinds:
-                    lhs, rhs = base[kind][ell], moved[kind][ell]
-                    check = Check(n, ell, kind, lhs, rhs, "<=", lhs <= rhs, index, path)
-                    check._instance = lead + kind
-                    rows.append(check)
-        return rows
+    then kind by name.  Each row's instance is set from a prefix built once
+    per path."""
+    n, adj = t.n, t.adjacency
+    kinds = sorted(kinds)
+    moves = []
+    for bp in bare_paths(t):
+        path = bp.vertices
+        if len(adj[path[0]]) == 1 or len(adj[path[-1]]) == 1:
+            moved = base
+        else:
+            moved = table[canonical_code(_kc_along(t, path))]
+        moves.append(("-".join(map(str, path)), path, moved))
+    moves.sort(key=itemgetter(0))
+    head = f"n={n:02d} t={str(index).zfill(_INDEX_DIGITS.get(n, 3))} path="
+    rows = []
+    for pid, path, moved in moves:
+        prefix = f"{head}{pid} len="
+        for ell in range(1, max_len + 1):
+            lead = f"{prefix}{ell:02d} "
+            for kind in kinds:
+                lhs, rhs = base[kind][ell], moved[kind][ell]
+                check = Check(n, ell, kind, lhs, rhs, "<=", lhs <= rhs, index, path)
+                check._instance = lead + kind
+                rows.append(check)
+    return rows
 
 
 def verify_kc_monotone(max_n: int, max_len: int, kind: str = "closed", emit=None) -> VerificationReport:
     """Counts of the given kind ('closed', 'all', or 'both') must never
     decrease under any single end-to-end path move, over every tree up to
-    max_n and every bare path.  'both' checks the two kinds in one pass."""
+    max_n and every bare path.  'both' checks the two kinds in one pass.
+    Each class's profiles are computed once, in its order's table; one
+    block of checks per tree goes to ``emit`` (see ``_stream``)."""
+    from .generate import enumerate_free_trees, leaf_rooted
+    from .walks import closed_walk_profile, walk_profile
+
     if kind not in ("closed", "all", "both"):
         raise ValueError(f"kind must be 'closed', 'all' or 'both', got {kind!r}")
     _require_max_n(max_n, 2)
     _require("max_len", max_len, 1)
-    kinds = ("closed", "all") if kind == "both" else (kind,)
+    kernels = {"closed": closed_walk_profile, "all": walk_profile}
+    kinds = tuple(kernels) if kind == "both" else (kind,)
     report = VerificationReport(scope={"max_n": max_n, "max_len": max_len, "kind": kind})
-    # the enumeration sorted its trees by code, so each base tree's code is
-    # a cache hit; leaf_rooted only relabels, so the code is its class's
-    rows = _KcMonotoneRows(max_len, kinds)
-    return _sweep_trees(report, emit, rows, max_n, lambda t: (canonical_code(t),), 1)
+
+    def blocks():
+        for n in range(2, max_n + 1):
+            trees = enumerate_free_trees(n)
+            # the enumeration sorted its trees by code, so each code here is
+            # a cache hit
+            table = {canonical_code(t): {k: kernels[k](t, max_len) for k in kinds} for t in trees}
+            # leaf_rooted only relabels, so a tree's profiles are its class's
+            for index, (t, base) in enumerate(zip(trees, table.values())):
+                yield _kc_monotone_rows(leaf_rooted(t), index, base, table, max_len, kinds)
+
+    return _stream(report, blocks(), emit)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +422,10 @@ def verify_injections(max_n: int, max_len: int, workers: int = 1, emit=None) -> 
     type-preservation of the word maps over every context from trees up to
     max_n, plus the endpoint-swap counting inequalities.  The per-tree
     worker lives in ``injections``, which this imports only here, so the
-    other sweeps never load the word layer."""
+    other sweeps never load the word layer.  Each tree carries the labels
+    ``enumerate`` prints (``leaf_rooted``), since the checks name its
+    vertices; one block of checks per tree goes to ``emit``."""
+    from .generate import enumerate_free_trees, leaf_rooted
     from .injections import injection_rows
 
     _require_max_n(max_n, 2)
@@ -452,7 +434,12 @@ def verify_injections(max_n: int, max_len: int, workers: int = 1, emit=None) -> 
     report = VerificationReport(
         scope={"max_n": max_n, "max_len": max_len, "suites": _INJECTION_SCOPE}
     )
-    return _sweep_trees(report, emit, injection_rows, max_n, lambda t: (max_len,), workers)
+    jobs = (
+        (leaf_rooted(t), index, max_len)
+        for n in range(2, max_n + 1)
+        for index, t in enumerate(enumerate_free_trees(n))
+    )
+    return _stream(report, _pmap(injection_rows, jobs, workers), emit)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,16 @@ GOLDEN = [
         ["verify", "kc-monotone", "--max-n", "11", "--max-len", "3", "--kind", "both"],
         "cff6e25b1e41923024e138a9abcbb9cb2d606a464bb3ef10393d7d274d11eddc",
     ),
+    # the ell = 2 branch (the star-formula check), recorded before
+    # kc-monotone built its profile table in its own per-order loop
+    (
+        ["verify", "path-extremal", "--max-n", "10", "--len", "2"],
+        "3361444bd640cabbaef855fcdb30bddb78b0ba4c7fbb3770cacfda4c9dea4cf6",
+    ),
+    (
+        ["verify", "path-extremal", "--max-n", "10", "--len", "2", "--format", "json"],
+        "69ab3f1dcc81142274094246c97cc44acb9cb7cf4df04a29962cbd531a154a48",
+    ),
     (
         ["verify", "path-extremal", "--max-n", "10", "--len", "5"],
         "b6656a297c9b25ed4d5bf13673883d9c8f8680e23debcc6d0b8c4d2d3ab69fbb",
@@ -55,6 +65,13 @@ GOLDEN = [
     (
         ["verify", "path-extremal", "--max-n", "10", "--len", "6"],
         "1b63e789afe3b23cc12b3479ccb03d48e386569e667abcb92333816f5267b0af",
+    ),
+    # the only pinned scope with 3-digit t, two-digit vertices and ell = 8
+    # together (about 1 s), recorded before kc-monotone built its profile
+    # table in its own per-order loop
+    (
+        ["verify", "kc-monotone", "--max-n", "12", "--max-len", "8", "--kind", "both"],
+        "d221a8607cb507ce4a6eea228bdd9201b6f37baba76c43ca2f236d10f65dd6f2",
     ),
     (
         ["counterexample", "--c", "3/5", "--k", "100", "--len", "50"],
@@ -348,6 +365,14 @@ def test_counterexample_rejects_non_integral_scope(capsys):
     assert err == "error: c=1/3 and k=20 must make ck, (2-c)k and k/2 all integral\n"
 
 
+def test_counterexample_rejects_non_rational_c(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "--c", "abc", "--k", "2", "--len", "3"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith("error: argument --c: not a rational: 'abc'\n")
+
+
 def test_counterexample_false_verdict_exits_one(capsys):
     code, out, _ = run(["counterexample", "--c", "1/2", "--k", "20", "--len", "10"], capsys)
     assert code == 1
@@ -541,6 +566,7 @@ STREAMS = [
         partial(verify_closed_extremal, 8, 8),
         ("csv", "json"),
     ),
+    (["verify", "path-extremal", "--max-n", "10", "--len", "2"], partial(verify_path_extremal, 10, 2), ("csv", "json")),
     (["verify", "path-extremal", "--max-n", "8", "--len", "3"], partial(verify_path_extremal, 8, 3), ("csv", "json")),
     (["verify", "path-extremal", "--max-n", "8", "--len", "6"], partial(verify_path_extremal, 8, 6), ("csv", "json")),
 ]

@@ -59,13 +59,28 @@ class TestConstruction:
         with pytest.raises(ValueError):
             tree(3, [(0, 1), (1, 0)])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: tree(3, [(0, 1), (1, 0), (1, 2)]),
+            lambda: tree(3, [(0, 1), (0, 1), (1, 2)]),
+            lambda: Tree(3, frozenset({(0, 1), (1, 0), (1, 2)})),
+        ],
+        ids=["reversed", "same-orientation", "frozenset"],
+    )
+    def test_repeated_edge_with_right_count_rejected(self, build):
+        # n - 1 edges listed, one of them twice: merging the repeat would
+        # leave the path 0-1-2, a tree other than the one listed
+        with pytest.raises(ValueError, match="^repeated edge: 3 edges given, 2 distinct$"):
+            build()
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             tree(3, [(0, 1), (2, 2)])
 
     def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            tree(4, [(0, 1), (2, 3), (0, 1)])
+        with pytest.raises(ValueError, match="not connected"):
+            tree(4, [(0, 1), (1, 2), (0, 2)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

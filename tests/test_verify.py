@@ -1,5 +1,6 @@
 import hashlib
 import random
+from math import comb
 
 import pytest
 
@@ -19,6 +20,7 @@ from treewalks.trees import canonical_code, distance, tree, tree_path
 from treewalks.verify import (
     Check,
     VerificationReport,
+    broom_profile,
     dc_reduce,
     dc_reduce_trace,
     is_double_broom,
@@ -29,7 +31,7 @@ from treewalks.verify import (
     verify_kc_monotone,
     verify_path_extremal,
 )
-from treewalks.walks import count_ell_paths
+from treewalks.walks import closed_walk_profile, count_ell_paths, walk_profile
 
 from conftest import A000055
 
@@ -72,6 +74,15 @@ class TestCheckRecords:
         )
 
 
+def _profile_table(n, max_len):
+    """The kc-monotone sweep's table for order n: both profiles of every
+    class, keyed by canonical code."""
+    return {
+        canonical_code(t): {"closed": closed_walk_profile(t, max_len), "all": walk_profile(t, max_len)}
+        for t in enumerate_free_trees(n)
+    }
+
+
 class TestKcMonotone:
     def test_both_is_sorted_union_of_kinds(self):
         closed = verify_kc_monotone(7, 6, kind="closed")
@@ -87,16 +98,18 @@ class TestKcMonotone:
             verify_kc_monotone(4, 2, kind="open")
 
     def test_codes_only_moved_trees(self, monkeypatch):
-        # the base tree's code comes with its job, and a move along a path
+        # the base tree's profiles are passed in, and a move along a path
         # with a leaf end gives a tree isomorphic to the base; only the
         # other moved trees are keyed by canonical code
+        table = _profile_table(8, 4)
         coded = []
         monkeypatch.setattr(
             verify, "canonical_code", lambda t: coded.append(t) or canonical_code(t)
         )
         for t in map(leaf_rooted, enumerate_free_trees(8)):
             coded.clear()
-            verify._KcMonotoneRows(4, ("closed", "all"))((t, 0, canonical_code(t)))
+            base = table[canonical_code(t)]
+            verify._kc_monotone_rows(t, 0, base, table, 4, ("closed", "all"))
             proper = []
             for bp in transforms.bare_paths(t):
                 moved = transforms._kc_along(t, bp.vertices)
@@ -134,9 +147,10 @@ class TestKcMonotone:
     def test_rows_come_in_report_order(self, n):
         # every row's preset instance is the one Check renders, and the rows
         # of a tree are already in instance order, two-digit vertices too
-        rows_of = verify._KcMonotoneRows(3, ("closed", "all"))
+        table = _profile_table(n, 3)
         for index, t in list(enumerate(enumerate_free_trees(n)))[::17]:
-            rows = rows_of((leaf_rooted(t), index, canonical_code(t)))
+            base = table[canonical_code(t)]
+            rows = verify._kc_monotone_rows(leaf_rooted(t), index, base, table, 3, ("closed", "all"))
             fresh = [
                 Check(c.n, c.ell, c.name, c.lhs, c.rhs, c.relation, c.passed, c.tree, c.path)
                 for c in rows
@@ -528,6 +542,31 @@ class TestWorkerPool:
 # ---------------------------------------------------------------------------
 # Scopes that would check nothing are rejected (see test_cli.py); the
 # smallest accepted ones check something
+
+
+def test_two_path_maxima_match_degree_oracle():
+    # a 2-path is a pair of edges at their shared vertex, so a tree has
+    # sum_v C(deg v, 2) of them, and the star alone attains C(n - 1, 2)
+    report = verify_path_extremal(10, 2)
+    assert report.ok
+    for n in range(1, 11):
+        values = {
+            canonical_code(t): sum(comb(t.degree(v), 2) for v in range(n))
+            for t in enumerate_free_trees(n)
+        }
+        best = max(values.values())
+        assert best == comb(n - 1, 2)
+        assert [c for c, v in values.items() if v == best] == [canonical_code(star_tree(n))]
+        witness = report.extremal_witnesses[f"n={n:02d} len=02"]
+        assert witness == {"max": [canonical_code(star_tree(n))], "value": best}
+
+
+def test_broom_profile_with_one_feasible_leg():
+    # p = 1 is the only leg count that fits, so the drift check compares the
+    # stationary point with p - 1 = 0, which lies below 1/4: no squaring
+    profile = broom_profile(5, 6)
+    assert profile.rows == ((1, 0),)
+    assert (profile.argmax_p, profile.best) == (1, 0)
 
 
 def test_whole_order_sweeps_past_twelve():
