@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator
 
-from .trees import Tree, canonical_code, tree
+from .trees import Tree, _rooted, canonical_code, tree
 
 __all__ = [
     "MAX_FREE_TREE_N",
@@ -201,13 +201,7 @@ def leaf_rooted(t: Tree) -> Tree:
     if t.n == 1:
         return t
     n, adj = t.n, t.adjacency
-    parent = [-1] * n
-    order = [0]
-    for v in order:
-        for c in adj[v]:
-            if c != parent[v]:
-                parent[c] = v
-                order.append(c)
+    order, parent = _rooted(t, 0)
     below = [1] * n
     for v in reversed(order[1:]):
         below[parent[v]] += below[v]
@@ -274,16 +268,7 @@ def double_broom_walks(k: int) -> Tree:
     the other.  For even k this has 2k+1 vertices."""
     if k < 1:
         raise ValueError("double broom needs k >= 1")
-    lo, hi = k // 2, k - k // 2
-    edges = [(i, i + 1) for i in range(k)]
-    nxt = k + 1
-    for _ in range(lo):
-        edges.append((0, nxt))
-        nxt += 1
-    for _ in range(hi):
-        edges.append((k, nxt))
-        nxt += 1
-    return tree(nxt, edges)
+    return double_broom_paths(2 * k + 1, k + 2)
 
 
 def double_broom_paths(n: int, ell: int) -> Tree:

@@ -3,11 +3,16 @@ and a canonical form that is a complete isomorphism invariant.
 
 Vertices are 0..n-1.  Every value here is immutable after construction and
 safe to share between concurrent workers.
+
+Every rooted traversal in the package goes through ``_rooted`` (the BFS
+order from a root, parents first, and each vertex's parent) or ``_branch``
+(one side of an edge, built on it): the connectivity check, distances,
+paths, canonical codes, the leaf-rooted labels, the walk and path kernels,
+the word contexts' end components and the delete-clone reduction.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -71,20 +76,8 @@ class Tree:
         object.__setattr__(
             self, "_adj", tuple(tuple(sorted(nbrs)) for nbrs in adj)
         )
-        if self.n > 1:
-            seen = [False] * self.n
-            seen[0] = True
-            queue = deque([0])
-            count = 1
-            while queue:
-                x = queue.popleft()
-                for y in self._adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        count += 1
-                        queue.append(y)
-            if count != self.n:
-                raise ValueError("edge set is not connected")
+        if len(_rooted(self, 0)[0]) != self.n:
+            raise ValueError("edge set is not connected")
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -116,18 +109,41 @@ def tree(n: int, edges: Iterable[Edge]) -> Tree:
     return Tree(n, [tuple(e) for e in edges])
 
 
+def _rooted(t: Tree, root: int) -> tuple[list[int], list[int]]:
+    """The vertices reachable from `root` in BFS order, and each vertex's
+    parent (the root is its own parent, an unreached vertex has -1), so
+    the order lists parents before children and reversed order children
+    before parents."""
+    adj = t.adjacency
+    parent = [-1] * t.n
+    parent[root] = root
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    return order, parent
+
+
+def _branch(t: Tree, v: int, away_from: int) -> frozenset:
+    """v's side of the edge (v, away_from): the vertices whose path to
+    `away_from` passes through v, v included."""
+    order, parent = _rooted(t, away_from)
+    side = {v}
+    for x in order:
+        if parent[x] in side:
+            side.add(x)
+    return frozenset(side)
+
+
 def distances_from(t: Tree, source: int) -> list[int]:
     """BFS distances from `source` to every vertex."""
     t._check_vertex(source)
-    dist = [-1] * t.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in t.adjacency[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
+    order, parent = _rooted(t, source)
+    dist = [0] * t.n
+    for x in order[1:]:
+        dist[x] = dist[parent[x]] + 1
     return dist
 
 
@@ -153,23 +169,10 @@ def tree_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
     """The unique path u .. v as a vertex tuple."""
     t._check_vertex(u)
     t._check_vertex(v)
-    if u == v:
-        return (u,)
-    parent = [-1] * t.n
-    parent[u] = u
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for y in t.adjacency[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                queue.append(y)
-    path = [v]
-    while path[-1] != u:
+    parent = _rooted(t, v)[1]
+    path = [u]
+    while path[-1] != v:
         path.append(parent[path[-1]])
-    path.reverse()
     return tuple(path)
 
 
@@ -204,17 +207,9 @@ def canonical_code(t: Tree) -> CanonicalCode:
     For an edge center (a, b) that pass gives a's rooting and b's half-code
     (its side of the edge); a's half-code then joins b's children to give
     b's rooting, so the tree is never re-rooted."""
-    adj = t.adjacency
     mids = center(t)
     root = mids[0]
-    parent = [-1] * t.n
-    parent[root] = root
-    order = [root]
-    for v in order:
-        for c in adj[v]:
-            if parent[c] < 0:
-                parent[c] = v
-                order.append(c)
+    order, parent = _rooted(t, root)
     kids: list[list[str]] = [[] for _ in range(t.n)]  # child codes
     for v in reversed(order[1:]):
         below = kids[v]

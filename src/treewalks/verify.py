@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 
 from .transforms import _kc_along, bare_paths, dc_transform, valency
-from .trees import Tree, canonical_code, distances_from, tree_path
+from .trees import Tree, _branch, canonical_code, distances_from, tree_path
 
 __all__ = [
     "BroomProfile",
@@ -97,7 +97,7 @@ class Check:
                 text = f"n={self.n:02d} len={self.ell:02d} {self.name}"
             else:
                 pid = "-".join(map(str, self.path))
-                index = str(self.tree).zfill(_INDEX_DIGITS.get(self.n, 3))
+                index = _tree_index(self.n, self.tree)
                 text = f"n={self.n:02d} t={index} path={pid} len={self.ell:02d} {self.name}"
             self._instance = text
         return text
@@ -107,6 +107,11 @@ class Check:
 # more than 3 (the free trees number 1,301, 3,159, 7,741 and 19,320 there);
 # every other order prints 3.
 _INDEX_DIGITS = {13: 4, 14: 4, 15: 4, 16: 5}
+
+
+def _tree_index(n: int, index: int) -> str:
+    """The tree index ``t`` of order n, zero-padded to its order's width."""
+    return str(index).zfill(_INDEX_DIGITS.get(n, 3))
 
 
 @dataclass
@@ -213,7 +218,7 @@ class _SummaryWriter(_Writer):
             if not c.passed:
                 row[2] += 1
         return "".join(
-            f"{n:02d}/{str(index).zfill(_INDEX_DIGITS.get(n, 3))},{'-'.join(map(str, path))},{ell},{domain},{image},{violations}\n"
+            f"{n:02d}/{_tree_index(n, index)},{'-'.join(map(str, path))},{ell},{domain},{image},{violations}\n"
             for (n, index, path, ell), (domain, image, violations) in cells.items()
         )
 
@@ -366,7 +371,7 @@ def _kc_monotone_rows(t: Tree, index: int, base: dict, table: dict, max_len: int
             moved = table[canonical_code(_kc_along(t, path))]
         moves.append(("-".join(map(str, path)), path, moved))
     moves.sort(key=itemgetter(0))
-    head = f"n={n:02d} t={str(index).zfill(_INDEX_DIGITS.get(n, 3))} path="
+    head = f"n={n:02d} t={_tree_index(n, index)} path="
     rows = []
     for pid, path, moved in moves:
         prefix = f"{head}{pid} len="
@@ -673,17 +678,7 @@ def _shrink_diameter(t: Tree, ell: int, dist: dict, r: dict) -> Tree | None:
     v, w = target
     path = tree_path(t, v, w)
     vprime = path[ell]
-    on_v_side = path[ell - 1]
-    beyond = set()
-    stack = [x for x in t.neighbors(vprime) if x != on_v_side]
-    seen = set(stack) | {vprime, on_v_side}
-    while stack:
-        x = stack.pop()
-        beyond.add(x)
-        for y in t.adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
+    beyond = set(_branch(t, vprime, path[ell - 1])) - {vprime}
     cur = t
     moved = False
     while beyond:

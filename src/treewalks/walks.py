@@ -16,16 +16,18 @@ vector over lengths 0..max_len; the ``count_*`` functions read one entry.
 - ``path_profile``: pairs at each distance, by merging depth histograms of
   the children at every vertex (the pair's top vertex).
 
+The rooted DPs (and ``wiener``'s subtree sizes) run children first over
+the reversed BFS order of ``trees._rooted`` from vertex 0.
+
 All counts are directed walks (a walk and its reverse are distinct) and use
 arbitrary-precision integers; there is no floating point anywhere here.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from operator import mul
 
-from .trees import Tree
+from .trees import Tree, _rooted
 
 __all__ = [
     "Walk",
@@ -54,24 +56,6 @@ def _require_profile_length(max_len: int) -> None:
         raise ValueError(f"profile length must be >= 0, got {max_len}")
 
 
-def _bfs_order(t: Tree) -> tuple[list[int], list[int]]:
-    """Vertices in BFS order from 0, and each vertex's parent (the root is
-    its own parent), so reversed order visits children before parents."""
-    adj = t.adjacency
-    parent = [-1] * t.n
-    parent[0] = 0
-    order = [0]
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                order.append(y)
-                queue.append(y)
-    return order, parent
-
-
 def _poly_mul(a: list[int], b: list[int], cap: int) -> list[int]:
     """Product of coefficient lists, truncated to degree <= cap."""
     if not a or not b:
@@ -95,12 +79,12 @@ def _poly_add(a: list[int], b: list[int]) -> list[int]:
 def _matching_counts(t: Tree, cap: int) -> list[int]:
     """m_0..m_cap, where m_k is the number of k-edge matchings.
 
-    Bottom-up over a BFS order, each vertex keeps two truncated generating
-    polynomials of its subtree's matchings: ``free`` (the vertex unmatched)
-    and ``every``.  Children fold in one at a time: ``free`` is the running
-    product of the children's ``every``, and ``hit`` (the vertex matched to
-    a child folded so far) gains x * free_so_far * child_free."""
-    order, parent = _bfs_order(t)
+    Bottom-up over ``_rooted``'s BFS order, each vertex keeps two truncated
+    generating polynomials of its subtree's matchings: ``free`` (the vertex
+    unmatched) and ``every``.  Children fold in one at a time: ``free`` is
+    the running product of the children's ``every``, and ``hit`` (the vertex
+    matched to a child folded so far) gains x * free_so_far * child_free."""
+    order, parent = _rooted(t, 0)
     adj = t.adjacency
     free: list = [None] * t.n
     every: list = [None] * t.n
@@ -171,7 +155,7 @@ def path_profile(t: Tree, max_len: int) -> list[int]:
     max_len) and counts the pairs that straddle two of its branches or end
     at itself."""
     _require_profile_length(max_len)
-    order, parent = _bfs_order(t)
+    order, parent = _rooted(t, 0)
     adj = t.adjacency
     out = [0] * (max_len + 1)
     out[0] = t.n
@@ -249,7 +233,7 @@ def wiener(t: Tree) -> int:
     """Sum of distances over unordered vertex pairs, via the edge-split
     identity: each edge contributes (size of one side) * (size of the other).
     """
-    order, parent = _bfs_order(t)
+    order, parent = _rooted(t, 0)
     size = [1] * t.n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]

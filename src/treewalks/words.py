@@ -5,11 +5,13 @@ end-to-end path move.
 Fix a tree T and a bare path p_0..p_k in it, and let T' be the transform
 that moves p_k's outside branches to p_0.  Deleting the path edges splits T
 into the component A of p_0, the component B of p_k, and bare interior
-vertices.  Each edge gets a label: c_1..c_k along the path, a_i in A, b_i
-in B; T' keeps every label (the moved B-edges keep theirs).  A walk is
-encoded by its sequence of traversed edge labels with directions dropped.
-Words with at least two distinct letters decode to a unique walk; a word
-that repeats a single letter decodes to two (one per direction).
+vertices; A is p_0's side of the edge p_0p_1 and B is p_k's side of
+p_kp_(k-1), both from ``trees._branch``.  Each edge gets a label: c_1..c_k
+along the path, a_i in A, b_i in B; T' keeps every label (the moved B-edges
+keep theirs).  A walk is encoded by its sequence of traversed edge labels
+with directions dropped.  Words with at least two distinct letters decode
+to a unique walk; a word that repeats a single letter decodes to two (one
+per direction).
 
 Words decompose into blocks: an A-block is a maximal run of a/c letters
 starting and ending with an a, a B-block the same with b, and C-blocks are
@@ -84,7 +86,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .transforms import _kc_along, _path_if_bare
-from .trees import Tree
+from .trees import Tree, _branch
 
 __all__ = [
     "HOST_T",
@@ -206,32 +208,14 @@ class PathContext:
         return self._a_neighbors
 
 
-def _component(t: Tree, root: int, banned_edges: set) -> frozenset:
-    seen = {root}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in t.adjacency[x]:
-            e = (min(x, y), max(x, y))
-            if e in banned_edges or y in seen:
-                continue
-            seen.add(y)
-            stack.append(y)
-    return frozenset(seen)
-
-
 def build_context(t: Tree, x: int, y: int) -> PathContext:
     """Label the tree relative to the bare path from x to y and build the
     transformed tree with the inherited labeling."""
     path = _path_if_bare(t, x, y)
     if path is None:
         raise ValueError(f"({x}, {y}) does not span a bare path")
-    path_edges = {
-        (min(path[i], path[i + 1]), max(path[i], path[i + 1]))
-        for i in range(len(path) - 1)
-    }
-    a_comp = _component(t, path[0], path_edges)
-    b_comp = _component(t, path[-1], path_edges)
+    a_comp = _branch(t, path[0], path[1])
+    b_comp = _branch(t, path[-1], path[-2])
     if a_comp & b_comp:
         raise RuntimeError(f"path {path} does not separate its end components")
 

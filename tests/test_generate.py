@@ -20,7 +20,7 @@ from treewalks.generate import (
     star_tree,
     to_pruefer,
 )
-from treewalks.trees import canonical_code, is_isomorphic, tree
+from treewalks.trees import canonical_code, is_isomorphic, tree, tree_path
 
 from conftest import A000055, trees
 
@@ -174,6 +174,14 @@ class TestFamilies:
     def test_double_broom_walks_order(self):
         for k in (2, 4, 10, 1000):
             assert double_broom_walks(k).n == 2 * k + 1
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_double_broom_walks_is_a_double_broom_paths(self, k):
+        t = double_broom_walks(k)
+        assert t == double_broom_paths(2 * k + 1, k + 2)
+        # a path 0..k with floor(k/2) leaves on 0 and ceil(k/2) on k
+        assert tree_path(t, 0, k) == tuple(range(k + 1))
+        assert (t.degree(0), t.degree(k)) == (k // 2 + 1, k - k // 2 + 1)
 
     def test_double_broom_paths_shape(self):
         t = double_broom_paths(8, 5)

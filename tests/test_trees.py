@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from treewalks.generate import (
 from treewalks.transforms import _kc_along, bare_paths
 from treewalks.trees import (
     Tree,
+    _branch,
     canonical_code,
     center,
     diameter,
@@ -82,6 +84,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not connected"):
             tree(4, [(0, 1), (1, 2), (0, 2)])
 
+    def test_disconnected_isolated_root_rejected(self):
+        # the traversal starts at vertex 0, here the isolated one
+        with pytest.raises(ValueError, match="not connected"):
+            tree(4, [(1, 2), (2, 3), (1, 3)])
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             tree(3, [(0, 1), (1, 5)])
@@ -119,6 +126,37 @@ class TestDistance:
         u = data.draw(st.integers(0, t.n - 1))
         v = data.draw(st.integers(0, t.n - 1))
         assert distance(t, u, v) == distance(t, v, u)
+
+
+def assert_traversal_matches_networkx(t: Tree) -> None:
+    """distances_from and tree_path against networkx shortest paths, and
+    each side of every edge against networkx components."""
+    g = nx.Graph()
+    g.add_nodes_from(range(t.n))
+    g.add_edges_from(t.edges)
+    for u in range(t.n):
+        paths = nx.single_source_shortest_path(g, u)
+        assert distances_from(t, u) == [len(paths[v]) - 1 for v in range(t.n)]
+        assert [tree_path(t, u, v) for v in range(t.n)] == [
+            tuple(paths[v]) for v in range(t.n)
+        ]
+    for u, v in t.edges:
+        g.remove_edge(u, v)
+        assert _branch(t, u, v) == nx.node_connected_component(g, u)
+        assert _branch(t, v, u) == nx.node_connected_component(g, v)
+        g.add_edge(u, v)
+
+
+class TestTraversalOracle:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_labeled_tree(self, n):
+        for t in all_labeled_trees(n):
+            assert_traversal_matches_networkx(t)
+
+    @given(trees(max_n=60))
+    @settings(deadline=None)
+    def test_random_trees(self, t):
+        assert_traversal_matches_networkx(t)
 
 
 class TestDiameter:

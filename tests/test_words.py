@@ -1,6 +1,7 @@
 import hashlib
 from functools import partial
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -103,6 +104,15 @@ class TestContext:
             assert set(ctx.labeling) == set(ctx.tree.edges)
             assert set(ctx.labeling_transformed) == set(ctx.transformed_tree.edges)
             assert not (ctx.a_component & ctx.b_component)
+
+    def test_end_components_match_networkx(self):
+        # A and B are p_0's and p_k's components of T less the path edges
+        for ctx in all_contexts(8):
+            g = nx.Graph(ctx.tree.edges)
+            g.add_nodes_from(range(ctx.tree.n))
+            g.remove_edges_from(zip(ctx.path, ctx.path[1:]))
+            assert ctx.a_component == nx.node_connected_component(g, ctx.p0)
+            assert ctx.b_component == nx.node_connected_component(g, ctx.pk)
 
     def test_a_side_identical_in_both_hosts(self):
         for ctx in all_contexts(6):
