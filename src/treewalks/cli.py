@@ -232,28 +232,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         report = verify_path_extremal(args.max_n, args.length, emit=writer)
     writer.close(report)
-    return 0 if writer.ok else 1
+    return 0 if report.ok else 1
+
+
+def _payload(result, **extra) -> str:
+    """A library result record as one JSON line with sorted keys: its own
+    fields, ``ell`` named ``len`` as on the command line, then ``extra``."""
+    import json
+    from dataclasses import asdict
+
+    payload = asdict(result)
+    payload["len"] = payload.pop("ell")
+    payload.update(extra)
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
-    import json
-
     from .verify import build_counterexample
 
     result = build_counterexample(args.c, args.k, args.length)
-    payload = {
-        "c": str(result.c),
-        "k": result.k,
-        "len": result.ell,
-        "wiener_broom": result.wiener_broom,
-        "wiener_double": result.wiener_double,
-        "closed_broom": result.closed_broom,
-        "closed_double": result.closed_double,
-        "total_broom": result.total_broom,
-        "total_double": result.total_double,
-        "verdict": result.verdict,
-    }
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    sys.stdout.write(_payload(result, c=str(result.c), verdict=result.verdict))
     return 0 if result.verdict else 1
 
 
@@ -262,17 +260,7 @@ def _cmd_broom_profile(args: argparse.Namespace) -> int:
 
     profile = broom_profile(args.n, args.length)
     if args.format == "json":
-        import json
-
-        payload = {
-            "n": profile.n,
-            "len": profile.ell,
-            "argmax_p": profile.argmax_p,
-            "best": profile.best,
-            "p_opt": profile.p_opt,
-            "rows": [list(r) for r in profile.rows],
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        sys.stdout.write(_payload(profile))
     else:
         sys.stdout.write("p,paths\n")
         for p, v in profile.rows:

@@ -265,7 +265,7 @@ def broom(path_length: int, leaf_count: int) -> Tree:
 
 def double_broom_walks(k: int) -> Tree:
     """A path with k edges, floor(k/2) leaves on one end and ceil(k/2) on
-    the other.  For even k this has 2k+1 vertices."""
+    the other: 2k+1 vertices for every k >= 1."""
     if k < 1:
         raise ValueError("double broom needs k >= 1")
     return double_broom_paths(2 * k + 1, k + 2)

@@ -17,8 +17,9 @@ path-extremal), each block sorted by ``Check.instance`` and the blocks in
 that order too, since the instance starts with the zero-padded
 ``n=NN t=TTT``.  The default consumer collects every block into
 ``report.checks``; ``report_writer`` gives the consumer that renders a
-format as the blocks come, keeping only the check count, the violations
-and the current block, so a sweep's memory does not grow with its output.
+format as the blocks come, keeping only the current block, so a sweep's
+memory does not grow with its output.  Whichever consumer runs, the report
+counts the checks and keeps the failed ones: it holds the verdict.
 
 Import rule: at module level this file imports only what the delete-clone
 reduction needs (``.transforms`` and ``.trees``).  The sweeps, the
@@ -117,16 +118,22 @@ def _tree_index(n: int, index: int) -> str:
 @dataclass
 class VerificationReport:
     """The scope of a sweep, its collected checks and, for the whole-order
-    sweeps, the extremal trees.  A sweep run with its own consumer leaves
-    ``checks`` empty: the consumer has the count and the violations."""
+    sweeps, the extremal trees, with the count and the failed ones of every
+    check the sweep ran (or of ``checks``, for a report built from them).
+    A sweep run with its own consumer leaves ``checks`` empty."""
 
     scope: dict
     checks: list = field(default_factory=list)
     extremal_witnesses: dict = field(default_factory=dict)
+    count: int = field(default=0, init=False)
+    violations: list = field(default_factory=list, init=False)
 
-    @property
-    def violations(self) -> list:
-        return [c for c in self.checks if not c.passed]
+    def __post_init__(self) -> None:
+        self._record(self.checks)
+
+    def _record(self, block: list) -> None:
+        self.count += len(block)
+        self.violations += [c for c in block if not c.passed]
 
     @property
     def ok(self) -> bool:
@@ -136,25 +143,17 @@ class VerificationReport:
 class _Writer:
     """A block consumer that renders checks through ``out`` as they come:
     the format's header before the first block, the rows of each block,
-    and ``close(report)`` at the end.  It keeps only the check count and
-    the failed checks, which the JSON format and the exit code need."""
+    and ``close(report)`` at the end.  It only renders: the report holds
+    the count and the verdict."""
 
     head = ""
 
     def __init__(self, out):
         self.out = out
-        self.count = 0
-        self.violations: list[Check] = []
         self._started = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def __call__(self, block: list) -> None:
         self._start()
-        self.count += len(block)
-        self.violations += [c for c in block if not c.passed]
         self.out(self.rows(block))
 
     def _start(self) -> None:
@@ -185,8 +184,8 @@ class _JsonWriter(_Writer):
         super().close(report)
         payload = {
             "scope": {k: str(v) for k, v in report.scope.items()},
-            "ok": self.ok,
-            "checks": self.count,
+            "ok": report.ok,
+            "checks": report.count,
             "violations": [
                 {
                     "instance": c.instance,
@@ -195,7 +194,7 @@ class _JsonWriter(_Writer):
                     "relation": c.relation,
                     "passed": c.passed,
                 }
-                for c in self.violations
+                for c in report.violations
             ],
             "extremal_witnesses": report.extremal_witnesses,
         }
@@ -230,7 +229,7 @@ def report_writer(fmt: str, out) -> _Writer:
     """The block consumer that renders format ``fmt`` ('csv', 'json' or
     'summary') through ``out``, a callable taking each piece of text.  Pass
     it to a ``verify_*`` sweep as ``emit``, then call ``close(report)`` on
-    the report the sweep returns; ``ok`` is the verdict."""
+    the report the sweep returns, whose ``ok`` is the verdict."""
     return _WRITERS[fmt](out)
 
 
@@ -291,12 +290,14 @@ def _pmap(fn, items, workers: int):
 
 
 def _stream(report: VerificationReport, blocks, emit) -> VerificationReport:
-    """Sort each block of checks by instance and hand it to ``emit``
-    (default: collect it into ``report.checks``).  Blocks come in instance
-    order, so the blocks concatenate to one sorted report."""
+    """Sort each block of checks by instance, record it on the report and
+    hand it to ``emit`` (default: collect it into ``report.checks``).
+    Blocks come in instance order, so they concatenate to one sorted
+    report."""
     emit = emit or report.checks.extend
     for block in blocks:
         block.sort(key=attrgetter("instance"))
+        report._record(block)
         emit(block)
     return report
 
@@ -540,11 +541,7 @@ def verify_path_extremal(max_n: int, ell: int, emit=None) -> VerificationReport:
                 expect = (n - 1) * (n - 2) // 2
                 yield [Check(n, ell, "star-formula", vmax, expect, "==", vmax == expect)]
             elif ell % 2 == 0:
-                best = 0
-                p = 1
-                while n >= 1 + p * (ell - 2) // 2 + p:
-                    best = max(best, count_ell_paths(p_broom(n, ell, p), ell))
-                    p += 1
+                best = max((count_ell_paths(p_broom(n, ell, p), ell) for p in _legs(n, ell)), default=0)
                 yield [Check(n, ell, "broom-max", vmax, best, "==", vmax == best)]
             else:
                 extra = max(n - ell + 1, 0)
@@ -562,6 +559,12 @@ def verify_path_extremal(max_n: int, ell: int, emit=None) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # Multi-broom optimization
+
+
+def _legs(n: int, ell: int) -> range:
+    """The feasible leg counts p of a p-broom of order n, even ell >= 4:
+    each leg takes (ell-2)/2 path vertices and at least one leaf."""
+    return range(1, (n - 1) // ((ell - 2) // 2 + 1) + 1)
 
 
 def broom_paths_exact(n: int, ell: int, p: int) -> int:
@@ -610,12 +613,7 @@ def broom_profile(n: int, ell: int) -> BroomProfile:
 
     if ell < 4 or ell % 2 != 0:
         raise ValueError("broom profile needs even ell >= 4")
-    half = (ell - 2) // 2
-    rows = []
-    p = 1
-    while n - 1 - p * half >= p:
-        rows.append((p, broom_paths_exact(n, ell, p)))
-        p += 1
+    rows = [(p, broom_paths_exact(n, ell, p)) for p in _legs(n, ell)]
     if not rows:
         raise ValueError(f"no feasible leg count for n={n}, ell={ell}")
     best = max(v for _, v in rows)
@@ -640,12 +638,15 @@ def broom_profile(n: int, ell: int) -> BroomProfile:
 # Greedy delete-clone reduction
 
 
-def _sorted_leaf_pairs(t: Tree):
+def _first_pair(t: Tree, test) -> tuple[int, int] | None:
+    """The first ordered pair (v, w) of distinct leaves, smallest v first and
+    then smallest w, that passes ``test(v, w)``; None if none does."""
     leaves = t.leaves()
     for v in leaves:
         for w in leaves:
-            if v != w:
-                yield v, w
+            if v != w and test(v, w):
+                return v, w
+    return None
 
 
 def _leaf_distances(t: Tree) -> dict[int, list[int]]:
@@ -657,68 +658,54 @@ def _improve_valency(t: Tree, ell: int, dist: dict, r: dict) -> Tree | None:
     """One strict improvement: remove the leaf with smaller distance-ell
     valency in favor of a clone of the larger, over pairs at distance
     other than ell, smallest pair first."""
-    for v, w in _sorted_leaf_pairs(t):
-        if dist[v][w] == ell:
-            continue
-        if r[v] < r[w]:
-            return dc_transform(t, v, w)
-    return None
+    pair = _first_pair(t, lambda v, w: dist[v][w] != ell and r[v] < r[w])
+    return None if pair is None else dc_transform(t, *pair)
 
 
 def _shrink_diameter(t: Tree, ell: int, dist: dict, r: dict) -> Tree | None:
     """Replace everything beyond distance ell from a leaf (along a too-long
     leaf pair) with clones of that leaf, one delete-clone at a time."""
-    target = None
-    for v, w in _sorted_leaf_pairs(t):
-        if v < w and dist[v][w] > ell:
-            target = (v, w)
-            break
-    if target is None:
+    pair = _first_pair(t, lambda v, w: v < w and dist[v][w] > ell)
+    if pair is None:
         return None
-    v, w = target
+    v, w = pair
     path = tree_path(t, v, w)
     vprime = path[ell]
     beyond = set(_branch(t, vprime, path[ell - 1])) - {vprime}
-    cur = t
-    moved = False
-    while beyond:
-        u = min(x for x in beyond if cur.degree(x) == 1)
-        if _valency_after(cur, u, ell, r, moved) > _valency_after(cur, v, ell, r, moved):
-            break  # a strictly better move exists; the valency phase takes over
-        cur = dc_transform(cur, u, v)
-        beyond.discard(u)
-        moved = True
-    return cur if moved else None
+    return _clone_onto(t, beyond, v, ell, r)
 
 
 def _merge_leaf_classes(t: Tree, ell: int, dist: dict, r: dict) -> Tree | None:
     """Merge the sibling class of one leaf onto another leaf at distance
     strictly between 2 and ell, preserving counts (valencies are equal at
     this point in the reduction)."""
-    target = None
-    for v, w in _sorted_leaf_pairs(t):
-        if 2 < dist[v][w] < ell:
-            target = (v, w)
-            break
-    if target is None:
+    pair = _first_pair(t, lambda v, w: 2 < dist[v][w] < ell)
+    if pair is None:
         return None
-    v, w = target
+    v, w = pair
     parent_v = t.neighbors(v)[0]
-    siblings = sorted(u for u in t.neighbors(parent_v) if t.degree(u) == 1)
+    siblings = {u for u in t.neighbors(parent_v) if t.degree(u) == 1}
+    return _clone_onto(t, siblings, w, ell, r)
+
+
+def _clone_onto(t: Tree, movable: set, target: int, ell: int, r: dict) -> Tree | None:
+    """Clone leaf ``target`` over the smallest leaf of ``movable``, one
+    delete-clone at a time, until ``movable`` is empty or its next leaf has
+    the larger distance-ell valency (the valency phase takes that move).
+    Valencies come from the step's table ``r`` until the first move, then
+    by BFS; None if nothing moved."""
     cur = t
-    moved = False
-    for u in siblings:
-        if _valency_after(cur, u, ell, r, moved) > _valency_after(cur, w, ell, r, moved):
+    while movable:
+        u = min(x for x in movable if cur.degree(x) == 1)
+        if cur is t:
+            ru, rt = r[u], r[target]
+        else:
+            ru, rt = valency(cur, u, ell).r, valency(cur, target, ell).r
+        if ru > rt:
             break
-        cur = dc_transform(cur, u, w)
-        moved = True
-    return cur if moved else None
-
-
-def _valency_after(cur: Tree, u: int, ell: int, r: dict, moved: bool) -> int:
-    """r(u) in the tree an inner move loop has reached: read from the step's
-    table until the first move, then by BFS on the moved tree."""
-    return valency(cur, u, ell).r if moved else r[u]
+        cur = dc_transform(cur, u, target)
+        movable.discard(u)
+    return None if cur is t else cur
 
 
 def dc_reduce_trace(t: Tree, ell: int) -> list[Tree]:
@@ -727,9 +714,9 @@ def dc_reduce_trace(t: Tree, ell: int) -> list[Tree]:
     path count from decreasing.
 
     Each step runs one BFS per leaf of the current tree and reads every
-    leaf-leaf distance and leaf valency from that table; only the inner
-    move loops of diameter shrinking and class merging run BFS on the trees
-    they produce (two per executed move)."""
+    leaf-leaf distance and leaf valency from that table; only
+    ``_clone_onto``, the move loop of diameter shrinking and class merging,
+    runs BFS on the trees it produces (two per executed move)."""
     if ell < 3:
         raise ValueError("reduction needs ell >= 3")
     trace = [t]

@@ -597,6 +597,29 @@ def test_sweep_streams_sorted_blocks(argv, sweep):
     assert [c for block in blocks for c in block] == sweep().checks
 
 
+# A streamed sweep's report holds the verdict whichever consumer takes its
+# blocks: the same ok, check count and violations as the collected run.
+BROKEN_STREAMS = [
+    (_path_profiles_bumped, partial(verify_closed_extremal, 6, 6)),
+    (_path_profiles_bumped, partial(verify_kc_monotone, 6, 6, "both")),
+    (_g_total_broken, partial(verify_injections, 5, 3)),
+]
+
+
+@pytest.mark.parametrize("patch,sweep", BROKEN_STREAMS, ids=["closed-extremal", "kc-monotone", "injections"])
+def test_streamed_report_holds_the_verdict(patch, sweep, monkeypatch):
+    patch(monkeypatch)
+    collected = sweep()
+    streamed = sweep(emit=lambda block: None)
+    assert collected.violations and not collected.ok
+    assert collected.count == len(collected.checks)
+    assert (streamed.ok, streamed.count, streamed.violations) == (
+        collected.ok,
+        collected.count,
+        collected.violations,
+    )
+
+
 # Runs the command in its arguments as a child with stdout to the null device
 # and prints the child's exit code and peak RSS in KiB (from os.wait4).  The
 # test process does not wait4 its own children for this: Linux carries the

@@ -29,6 +29,27 @@ from conftest import A000055, trees
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
 
 
+# Constructor arguments outside the domain, each with the message it raises.
+BAD_ARGUMENTS = [
+    ("from_pruefer n=1", lambda: from_pruefer((), 1), "needs n >= 2"),
+    ("to_pruefer n=1", lambda: to_pruefer(tree(1, [])), "needs n >= 2"),
+    ("path_tree n=0", lambda: path_tree(0), "path needs n >= 1"),
+    ("star_tree n=0", lambda: star_tree(0), "star needs n >= 1"),
+    ("broom negative path", lambda: broom(-1, 2), "must be nonnegative"),
+    ("broom negative leaves", lambda: broom(2, -1), "must be nonnegative"),
+    ("double_broom_walks k=0", lambda: double_broom_walks(0), "needs k >= 1"),
+    ("double_broom_paths ell=1", lambda: double_broom_paths(5, 1), "needs ell >= 2"),
+    ("double_broom_paths n=3 ell=5", lambda: double_broom_paths(3, 5), "n=3 too small for ell=5"),
+    ("p_broom p=0", lambda: p_broom(9, 4, 0), "needs p >= 1"),
+]
+
+
+@pytest.mark.parametrize("build,message", [c[1:] for c in BAD_ARGUMENTS], ids=[c[0] for c in BAD_ARGUMENTS])
+def test_argument_outside_domain_raises(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestPruefer:
     def test_n2_empty_sequence(self):
         assert from_pruefer((), 2) == tree(2, [(0, 1)])

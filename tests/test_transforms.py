@@ -58,6 +58,10 @@ class TestBarePaths:
             for bp in bare_paths(t):
                 assert all(t.degree(v) == 2 for v in bp.vertices[1:-1])
 
+    def test_single_vertex_rejected(self):
+        with pytest.raises(ValueError, match="bare paths need n >= 2"):
+            bare_paths(tree(1, []))
+
 
 class TestKcTransform:
     def test_path4_to_star(self, p4):
@@ -148,6 +152,10 @@ class TestValency:
                     total = sum(valency(t, v, ell).r for v in range(t.n))
                     assert total == 2 * count_ell_paths(t, ell)
 
+    def test_rejects_length_zero(self, p4):
+        with pytest.raises(ValueError, match="ell must be >= 1, got 0"):
+            valency(p4, 0, 0)
+
 
 class TestDcTransform:
     def test_path_to_star(self):
@@ -170,7 +178,6 @@ class TestDcTransform:
     def test_two_vertices_rejected(self):
         with pytest.raises(ValueError):
             dc_transform(tree(2, [(0, 1)]), 0, 1)
-
     def test_gain_identity(self):
         # R(T') - R(T) = r(w) - r(v) for leaves at distance other than ell
         for n in range(3, 9):

@@ -53,6 +53,10 @@ class TestConstruction:
         t = tree(1, [])
         assert t.n == 1 and not t.edges
 
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ValueError, match="vertex count must be positive, got 0"):
+            Tree(0, frozenset())
+
     def test_wrong_edge_count(self):
         with pytest.raises(ValueError):
             tree(4, [(0, 1), (1, 2)])
@@ -330,8 +334,10 @@ class TestTextFormat:
             ("3\n0 1\n1 0\n1 2\n", "line 3: edge '1 0' repeats line 2"),
             ("3\n0 1\n1 2\n2 2\n", "line 4: self-loop at vertex 2"),
             ("3\n0 1\n\n1 3\n", "line 4: edge '1 3' out of range for n=3"),
+            ("3\n0 1 2\n1 2\n", "line 2: expected 'u v', got '0 1 2'"),
+            ("\n  \n", "line 1: empty input, expected vertex count"),
         ],
-        ids=["repeated", "self-loop", "out-of-range"],
+        ids=["repeated", "self-loop", "out-of-range", "not-an-edge", "empty"],
     )
     def test_bad_edge_reports_its_line(self, text, message):
         with pytest.raises(ValueError) as exc:

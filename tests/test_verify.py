@@ -16,7 +16,7 @@ from treewalks.generate import (
     star_tree,
 )
 from treewalks.transforms import dc_transform, valency
-from treewalks.trees import canonical_code, distance, tree, tree_path
+from treewalks.trees import canonical_code, distance, format_tree_text, tree, tree_path
 from treewalks.verify import (
     Check,
     VerificationReport,
@@ -72,6 +72,8 @@ class TestCheckRecords:
             "04/001,0-1,2,6,6,0\n"
             "04/001,0-1,3,5,4,2\n"
         )
+        # a report built from a list of checks counts them
+        assert (report.count, report.violations, report.ok) == (4, report.checks[2:], False)
 
 
 def _profile_table(n, max_len):
@@ -255,6 +257,9 @@ PRUEFER_36 = [
 ]
 
 
+DC_TRACE_DIGEST = "cc794f0805fca0e6737630c1d4870965a4957539bb6e784d619c7565613a7c65"
+
+
 class TestDcReduce:
     CASES = [(seed, 3 + seed % 4) for seed in range(48)]
 
@@ -317,6 +322,19 @@ class TestDcReduce:
     def test_rejects_short_length(self):
         with pytest.raises(ValueError, match="ell >= 3"):
             dc_reduce_trace(from_pruefer(PRUEFER_36, 36), 2)
+
+    def test_trace_digest(self):
+        # sha256 over the traces of 300 seeded random trees, n = 5..30 and
+        # ell = 3..8 (2,820 moves); in two of them (seeds 150 and 173) the
+        # diameter shrink stops at a leaf of larger valency
+        digest = hashlib.sha256()
+        for seed in range(300):
+            rng = random.Random(seed)
+            n, ell = rng.randint(5, 30), rng.randint(3, 8)
+            digest.update(f"{ell}\n".encode())
+            for t in dc_reduce_trace(_random_tree(rng, n), ell):
+                digest.update(format_tree_text(t).encode())
+        assert digest.hexdigest() == DC_TRACE_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +577,23 @@ def test_two_path_maxima_match_degree_oracle():
         assert [c for c, v in values.items() if v == best] == [canonical_code(star_tree(n))]
         witness = report.extremal_witnesses[f"n={n:02d} len=02"]
         assert witness == {"max": [canonical_code(star_tree(n))], "value": best}
+
+
+# Arguments outside the domain, each with the message it raises.
+BAD_ARGUMENTS = [
+    ("counterexample ell=1", lambda: verify.build_counterexample("3/5", 20, 1), "ell must be >= 2"),
+    ("broom_paths_exact p=3", lambda: verify.broom_paths_exact(4, 4, 3), "p=3 infeasible for n=4, ell=4"),
+    ("broom_profile n=2", lambda: broom_profile(2, 4), "no feasible leg count for n=2, ell=4"),
+    ("is_p_broom ell=5", lambda: is_p_broom(path_tree(5), 5), "p-broom shape needs even ell >= 4"),
+    ("is_p_broom ell=2", lambda: is_p_broom(path_tree(5), 2), "p-broom shape needs even ell >= 4"),
+    ("is_double_broom ell=2", lambda: is_double_broom(path_tree(5), 2), "double-broom shape needs ell >= 3"),
+]
+
+
+@pytest.mark.parametrize("call,message", [c[1:] for c in BAD_ARGUMENTS], ids=[c[0] for c in BAD_ARGUMENTS])
+def test_argument_outside_domain_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_broom_profile_with_one_feasible_leg():

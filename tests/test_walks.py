@@ -56,6 +56,10 @@ class TestClosedWalks:
         with pytest.raises(ValueError):
             count_closed_walks(p4, 0)
 
+    def test_enumeration_rejects_negative_length(self, p4):
+        with pytest.raises(ValueError, match="walk length must be >= 0, got -1"):
+            enumerate_walks(p4, -1)
+
 
 class TestWalkCounts:
     def test_single_edge(self):

@@ -588,6 +588,34 @@ class TestFMap:
                     assert decode_word(ctx, image, HOST_T2)
                 assert len(set(images)) == len(domain)
 
+# Words outside a map's domain, each with the context fixture it is read in
+# and the message it raises.  The letters are checked before any walk is
+# traced, so "a1" on k3 (which has no A side) still names the a-letter.
+BAD_WORDS = [
+    ("classify empty", "k1", lambda ctx: classify(()), "cannot classify an empty word"),
+    ("f_map empty", "k1", lambda ctx: f_map(ctx, ()), "cannot map an empty word"),
+    ("h_map empty", "k1", lambda ctx: h_map(ctx, ()), "cannot map an empty word"),
+    ("g_even a-letter", "k2", lambda ctx: g_even(ctx, parse_word("a1 c1")), "g_even takes B-side words only"),
+    ("g_odd even k", "k2", lambda ctx: g_odd(ctx, parse_word("c1 b1"), 4), "g_odd needs a path of odd length"),
+    ("g_odd a-letter", "k3", lambda ctx: g_odd(ctx, parse_word("a1 c1"), 4), "g_odd takes B-side words only"),
+    ("g_odd no b-letter", "k3", lambda ctx: g_odd(ctx, parse_word("c1 c2"), 4), "word lacks a b-letter"),
+    ("g_total not from p_0", "k1", lambda ctx: g_total(ctx, parse_word("b1")), "not a B-side walk word from p_0"),
+    ("g_total_aside b-letter", "k1", lambda ctx: g_total_aside(ctx, parse_word("b1")), "takes A-side words only"),
+    (
+        "g_total_aside not from p_k",
+        "k1",
+        lambda ctx: g_total_aside(ctx, parse_word("a1")),
+        "not an A-side walk word from p_k",
+    ),
+]
+
+
+@pytest.mark.parametrize("fixture,call,message", [c[1:] for c in BAD_WORDS], ids=[c[0] for c in BAD_WORDS])
+def test_word_outside_domain_raises(fixture, call, message, request):
+    with pytest.raises(ValueError, match=message):
+        call(request.getfixturevalue(fixture))
+
+
 class TestGMaps:
     def test_g_even_spec_instance(self):
         ctx = build_context(tree(4, [(0, 1), (1, 2), (2, 3)]), 0, 2)
