@@ -38,6 +38,7 @@ from .words import (
     _T21,
     _T22,
     _grow_words,
+    _has,
     build_context,
     f_map,
     g_even,
@@ -146,15 +147,11 @@ def _check_f_h(ctx, check, table, t2_table):
     return rows
 
 
-def _has_b(word):
-    return any(kind == "b" for kind, _ in word)
-
-
 def _lands(table, image, length, start):
     """Whether a g-image has the length, a b-letter, and a walk from start
     in the host whose word table of that length is given.  A word has at
     most two walks, its first and its last."""
-    if len(image) != length or not _has_b(image):
+    if len(image) != length or not _has(image, "b"):
         return False
     record = table.get(image)
     return record is not None and (record[0][0][0] == start or record[0][-1][0] == start)

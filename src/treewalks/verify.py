@@ -498,8 +498,6 @@ def build_counterexample(c, k: int, ell: int) -> CounterexampleResult:
         )
     t1 = broom(int(handle), int(leaves))
     t2 = double_broom_walks(k)
-    if not t1.n == t2.n == 2 * k + 1:
-        raise RuntimeError(f"broom and double broom have {t1.n} and {t2.n} vertices, not {2 * k + 1}")
     return CounterexampleResult(
         c=c,
         k=k,

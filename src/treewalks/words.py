@@ -48,17 +48,20 @@ splits a C-run by index arithmetic on path positions (c_j joins p_(j-1)
 and p_j), and a word with no letter of the other side has no C-run to
 split, so it is kept or conjugated whole.
 
-A PathContext builds a few tables once, each of O(k) letters or O(deg)
-vertices: the conjugation table (also the even-k mirror of the g maps),
-the B-side neighbors of p_k and the A-side neighbors of p_0, and, on
-first use, the mirror of each path extended by one edge for odd k.
+A PathContext keeps its labeling as two tables keyed by host,
+ctx._labels[host] (edge -> letter) and ctx._edges[host] (letter -> edge),
+and builds a few more once, each of O(k) letters or O(deg) vertices: the
+conjugation table (also the even-k mirror of the g maps), the B-side
+neighbors of p_k and the A-side neighbors of p_0, and, on first use, the
+mirror of each path extended by one edge for odd k.
 
 It also memoizes each word that decodes in a host as one record,
 [walks, type, f-image], in the table ctx._words[host][len(word)].  Every
 lookup reads that one table: decode_word the walks, f_map and h_map the
 walks (that the word decodes), the type and the f-image, which they store
-in the record's last slot on first use (host T only), and the injection
-sweep's image test the walks and type of a T'-word.  _grow_words, which
+in the record's last slot on first use (host T only), the g maps the walk
+they reflect (_walk_from), and the injection sweep's image test the walks
+and type of a T'-word.  _grow_words, which
 word_sets runs, grows all walks of a host one letter per level and
 inserts each word's record into its table once: the walks in start-vertex
 order, and the type from the first and last non-c kinds each walk
@@ -122,9 +125,9 @@ HOST_T2 = "T'"
 
 
 def _require_host(host: str) -> None:
-    """Reject a host name other than HOST_T and HOST_T2: the public word
-    entry points call this, since the internal ones read any other name as
-    T'."""
+    """Reject a host name other than HOST_T and HOST_T2 with a ValueError:
+    the public word entry points call this, since the internal ones index
+    the per-host tables by it unchecked."""
     if host != HOST_T and host != HOST_T2:
         raise ValueError(f"host must be {HOST_T} or {HOST_T2}, got {host!r}")
 
@@ -155,10 +158,8 @@ class PathContext:
     transformed_tree: Tree
     a_component: frozenset
     b_component: frozenset
-    _edge_label: dict = field(repr=False)  # (u,v) -> Letter, host T
-    _edge_label_t2: dict = field(repr=False)
-    _label_edge: dict = field(repr=False)  # Letter -> (u,v), host T
-    _label_edge_t2: dict = field(repr=False)
+    _labels: dict = field(repr=False)  # host -> (u,v) -> Letter
+    _edges: dict = field(repr=False)  # host -> Letter -> (u,v)
     # per-context tables, see the module docstring
     _conjugation: dict = field(repr=False)  # c_i -> c_(k+1-i)
     _b_neighbors: tuple = field(repr=False)  # B-side neighbors of p_k
@@ -185,21 +186,19 @@ class PathContext:
     @property
     def labeling(self) -> dict:
         """Edge -> label map for the original tree."""
-        return dict(self._edge_label)
+        return dict(self._labels[HOST_T])
 
     @property
     def labeling_transformed(self) -> dict:
-        return dict(self._edge_label_t2)
+        return dict(self._labels[HOST_T2])
 
     def edge_of(self, letter: Letter, host: str) -> tuple[int, int] | None:
         _require_host(host)
-        table = self._label_edge if host == HOST_T else self._label_edge_t2
-        return table.get(letter)
+        return self._edges[host].get(letter)
 
     def label_of(self, u: int, v: int, host: str) -> Letter | None:
         _require_host(host)
-        table = self._edge_label if host == HOST_T else self._edge_label_t2
-        return table.get((min(u, v), max(u, v)))
+        return self._labels[host].get((min(u, v), max(u, v)))
 
     def b_neighbors_of_pk(self) -> tuple[int, ...]:
         return self._b_neighbors
@@ -223,12 +222,10 @@ def build_context(t: Tree, x: int, y: int) -> PathContext:
     for i in range(len(path) - 1):
         u, v = path[i], path[i + 1]
         edge_label[(min(u, v), max(u, v))] = ("c", i + 1)
-    a_edges = sorted(e for e in t.edges if e[0] in a_comp and e[1] in a_comp)
-    for i, e in enumerate(a_edges):
-        edge_label[e] = ("a", i + 1)
-    b_edges = sorted(e for e in t.edges if e[0] in b_comp and e[1] in b_comp)
-    for i, e in enumerate(b_edges):
-        edge_label[e] = ("b", i + 1)
+    for kind, comp in (("a", a_comp), ("b", b_comp)):
+        side_edges = sorted(e for e in t.edges if e[0] in comp and e[1] in comp)
+        for i, e in enumerate(side_edges):
+            edge_label[e] = (kind, i + 1)
     if len(edge_label) != t.n - 1:
         raise RuntimeError(f"{len(edge_label)} labels for {t.n - 1} edges")
 
@@ -243,6 +240,7 @@ def build_context(t: Tree, x: int, y: int) -> PathContext:
             edge_label_t2[(u, v)] = letter
     if set(edge_label_t2) != set(t2.edges):
         raise RuntimeError("the inherited labeling does not cover the transform's edges")
+    labels = {HOST_T: edge_label, HOST_T2: edge_label_t2}
 
     return PathContext(
         tree=t,
@@ -250,10 +248,8 @@ def build_context(t: Tree, x: int, y: int) -> PathContext:
         transformed_tree=t2,
         a_component=a_comp,
         b_component=b_comp,
-        _edge_label=edge_label,
-        _edge_label_t2=edge_label_t2,
-        _label_edge={v: k for k, v in edge_label.items()},
-        _label_edge_t2={v: k for k, v in edge_label_t2.items()},
+        _labels=labels,
+        _edges={host: {v: e for e, v in table.items()} for host, table in labels.items()},
         _conjugation=_mirror([("c", i) for i in range(1, len(path))]),
         _b_neighbors=tuple(w for w in t.neighbors(pk) if w in b_comp),
         _a_neighbors=tuple(w for w in t.neighbors(p0) if w in a_comp),
@@ -274,33 +270,13 @@ def parse_word(text: str) -> Word:
     return tuple(letters)
 
 
-def _trace(ctx: PathContext, word: Word, start: int, host: str) -> tuple[int, ...] | None:
-    """Vertex positions of the walk spelled by `word` from `start` in the
-    host, or None when the word is not walkable from there."""
-    table = ctx._label_edge if host == HOST_T else ctx._label_edge_t2
-    pos = start
-    positions = [start]
-    for letter in word:
-        edge = table.get(letter)
-        if edge is None:
-            return None
-        u, v = edge
-        if pos == u:
-            pos = v
-        elif pos == v:
-            pos = u
-        else:
-            return None
-        positions.append(pos)
-    return tuple(positions)
-
-
 def encode_walk(ctx: PathContext, walk: Walk, host: str) -> Word:
     """The label sequence traversed by a walk in the given host."""
     _require_host(host)
+    labels = ctx._labels[host]
     letters = []
     for u, v in zip(walk, walk[1:]):
-        letter = ctx.label_of(u, v, host)
+        letter = labels.get((min(u, v), max(u, v)))
         if letter is None:
             raise ValueError(f"step ({u}, {v}) is not an edge of host {host}")
         letters.append(letter)
@@ -322,13 +298,20 @@ def _record(ctx: PathContext, word: Word, host: str) -> list | None:
     table = ctx._words[host][len(word)]
     record = table.get(word)
     if record is None and word:
-        labels = ctx._label_edge if host == HOST_T else ctx._label_edge_t2
-        edge = labels.get(word[0])
-        starts = sorted(edge) if edge is not None else ()
-        traced = (_trace(ctx, word, start, host) for start in starts)
-        walks = tuple(p for p in traced if p is not None)
+        edges = ctx._edges[host]
+        walks = []
+        for start in edges.get(word[0], ()):  # an edge is (u, v) with u < v
+            pos, positions = start, [start]
+            for letter in word:
+                u, v = edges.get(letter, (None, None))
+                if pos != u and pos != v:
+                    break
+                pos = v if pos == u else u
+                positions.append(pos)
+            else:
+                walks.append(tuple(positions))
         if walks:
-            record = table[word] = [walks, classify(word), None]
+            record = table[word] = [tuple(walks), classify(word), None]
     return record
 
 
@@ -338,6 +321,11 @@ def _is_closed(walks: tuple[Walk, ...]) -> bool:
     even, so the first walk answers for all."""
     first = walks[0]
     return first[0] == first[-1]
+
+
+def _has(word: Word, kind: str) -> bool:
+    """Whether the word has a letter of the kind ('a', 'b' or 'c')."""
+    return kind in map(itemgetter(0), word)
 
 
 def _runs(word: Word) -> list[tuple[str, int, int]]:
@@ -364,13 +352,10 @@ def classify(word: Word) -> WordType:
     """Word type from the kinds of the first and last non-C letters."""
     if not word:
         raise ValueError("cannot classify an empty word")
-    kinds = [letter[0] for letter in word if letter[0] != "c"]
-    if not kinds:
-        return WordType.T0
-    first, last = kinds[0], kinds[-1]
-    if first == "a":
-        return WordType.T11 if last == "a" else WordType.T21
-    return WordType.T12 if last == "b" else WordType.T22
+    kinds = ""
+    for kind, _idx in word:
+        kinds = _KINDS_AFTER[kinds][kind]
+    return _TYPE_OF_KINDS[kinds]
 
 
 # A word's first and last non-c kinds as one string ("" while it has
@@ -443,9 +428,6 @@ def words_of(
     (part 'A' = A with the path, 'B' = B with the path, 'P' = path only)."""
     _require_host(host)
     adj = _side_adjacency(ctx, host, part)
-    if length == 0:
-        sources = [start] if start is not None else range(len(adj))
-        return {() for v in sources if end is None or v == end}
     out: set[Word] = set()
     sources = [start] if start is not None else list(range(len(adj)))
     for s in sources:
@@ -465,17 +447,16 @@ def _side_adjacency(
     ctx: PathContext, host: str, part: str | None
 ) -> list[list[tuple[int, Letter]]]:
     """Per vertex, the (neighbor, letter) steps of the host restricted to
-    the side subgraph `part`, memoized on the context."""
+    the side subgraph `part`, memoized on the context; neighbors ascend, as
+    in Tree.adjacency, because the edges come sorted."""
     adj = ctx._adjacency.get((host, part))
     if adj is None:
         kinds = _PART_KINDS[part]
-        t = ctx.tree if host == HOST_T else ctx.transformed_tree
-        adj = ctx._adjacency[(host, part)] = [[] for _ in range(t.n)]
-        for v in range(t.n):
-            for u in t.adjacency[v]:
-                letter = ctx.label_of(v, u, host)
-                if letter[0] in kinds:
-                    adj[v].append((u, letter))
+        adj = ctx._adjacency[(host, part)] = [[] for _ in range(ctx.tree.n)]
+        for (u, v), letter in sorted(ctx._labels[host].items()):
+            if letter[0] in kinds:
+                adj[u].append((v, letter))
+                adj[v].append((u, letter))
     return adj
 
 
@@ -540,29 +521,37 @@ def f_map(ctx: PathContext, word: Word, closed: bool = False) -> Word:
     words (pass closed=True); the closedness itself is the caller's claim
     and is not re-derived here.
     """
+    record = _t_record(ctx, word)
+    wtype = record[1]
+    if (wtype is _T21 or wtype is _T22) and not closed:
+        raise ValueError(f"type {wtype.value} words are only mapped when closed")
+    return _f_image(ctx, word, record)
+
+
+def _t_record(ctx: PathContext, word: Word) -> list:
+    """The record of a word f_map or h_map takes: ValueError when the word
+    is empty or does not decode in T."""
     if not word:
         raise ValueError("cannot map an empty word")
     record = ctx._words[HOST_T][len(word)].get(word) or _record(ctx, word, HOST_T)
     if record is None:
         raise ValueError("word is not valid in the original tree")
-    wtype = record[1]
-    if (wtype is _T21 or wtype is _T22) and not closed:
-        raise ValueError(f"type {wtype.value} words are only mapped when closed")
-    image = record[2]
-    return image if image is not None else _f_image(ctx, word, record)
+    return record
 
 
 def _f_image(ctx: PathContext, word: Word, record: list) -> Word:
     """The f-image of a T-word whose record its caller has read and whose
-    type it has checked, stored in that record; f_map and h_map read the
-    stored image first."""
-    wtype = record[1]
-    if wtype is _T0:
-        image = word
-    else:
-        lead = "A" if wtype is _T11 or wtype is _T21 else "B"
-        image = _f_surgery(ctx, word, lead)
-    record[2] = image
+    type it has checked: the one stored in the record, or else computed and
+    stored there."""
+    image = record[2]
+    if image is None:
+        wtype = record[1]
+        if wtype is _T0:
+            image = word
+        else:
+            lead = "A" if wtype is _T11 or wtype is _T21 else "B"
+            image = _f_surgery(ctx, word, lead)
+        record[2] = image
     return image
 
 
@@ -580,7 +569,7 @@ def _f_surgery(ctx: PathContext, word: Word, lead: str) -> Word:
         other, other_letter, end, conjugate_kept = "B", "b", 0, False
     else:
         other, other_letter, end, conjugate_kept = "A", "a", ctx.k, True
-    if other_letter not in map(itemgetter(0), word):
+    if not _has(word, other_letter):
         # no other-side block: nothing is split, every letter is kept
         return tuple(map(get, word, word)) if conjugate_kept else word
     runs = _runs(word)
@@ -605,15 +594,30 @@ def _f_surgery(ctx: PathContext, word: Word, lead: str) -> Word:
     return tuple(out)
 
 
-def _locate_b_side(ctx: PathContext, word: Word, starts: tuple[int, ...]) -> tuple[int, ...]:
-    """Trace a B-side word from the first start vertex that works."""
-    for s in starts:
-        positions = _trace(ctx, word, s, HOST_T)
-        if positions is not None:
-            return positions
-    raise ValueError(
-        f"word does not start at any of {starts} in the B-side subgraph"
-    )
+def _walk_from(ctx: PathContext, word: Word, starts: tuple[int, ...]) -> Walk | None:
+    """The T-walk of the word from the first of starts that has one, read
+    from the word's record; None when no start has one."""
+    record = _record(ctx, word, HOST_T)
+    if record is not None:
+        for start in starts:
+            for walk in record[0]:
+                if walk[0] == start:
+                    return walk
+    return None
+
+
+def _b_side_walk(ctx: PathContext, word: Word, name: str, starts: tuple[int, ...]) -> Walk:
+    """The walk a g map of the given name reflects: the B-side word's walk
+    from the first of starts that has one; ValueError when the word has an
+    a-letter, has no b-letter, or starts at none of them."""
+    if _has(word, "a"):
+        raise ValueError(f"{name} takes B-side words only")
+    if not _has(word, "b"):
+        raise ValueError("word lacks a b-letter")
+    walk = _walk_from(ctx, word, starts)
+    if walk is None:
+        raise ValueError(f"word does not start at any of {starts} in the B-side subgraph")
+    return walk
 
 
 def _mirror(letters: list[Letter]) -> dict[Letter, Letter]:
@@ -661,11 +665,7 @@ def g_even(ctx: PathContext, word: Word) -> Word:
     one that stays in B, is outside the domain and raises ValueError."""
     if ctx.k % 2 != 0:
         raise ValueError("g_even needs a path of even length")
-    if any(kind == "a" for kind, _ in word):
-        raise ValueError("g_even takes B-side words only")
-    if not any(kind == "b" for kind, _ in word):
-        raise ValueError("word lacks a b-letter")
-    positions = _locate_b_side(ctx, word, (ctx.p0, ctx.pk))
+    positions = _b_side_walk(ctx, word, "g_even", (ctx.p0, ctx.pk))
     return _reflect(word, positions, ctx.path[ctx.k // 2], ctx._conjugation)
 
 
@@ -678,11 +678,7 @@ def g_odd(ctx: PathContext, word: Word, u: int) -> Word:
         raise ValueError("g_odd needs a path of odd length")
     if u not in ctx.b_neighbors_of_pk():
         raise ValueError(f"{u} is not a B-side neighbor of the far endpoint")
-    if any(kind == "a" for kind, _ in word):
-        raise ValueError("g_odd takes B-side words only")
-    if not any(kind == "b" for kind, _ in word):
-        raise ValueError("word lacks a b-letter")
-    positions = _locate_b_side(ctx, word, (ctx.path[1], ctx.pk))
+    positions = _b_side_walk(ctx, word, "g_odd", (ctx.path[1], ctx.pk))
     mirror = _extended_mirror(ctx, ctx.pk, u)
     return _reflect(word, positions, ctx.path[(ctx.k + 1) // 2], mirror)
 
@@ -695,9 +691,9 @@ def g_total(ctx: PathContext, word: Word) -> Word:
     forced leading c_1, apply g_odd with the smallest B-neighbor of p_k,
     conjugate, then restore the length by repeating the final letter (the
     walk steps back along its last edge)."""
-    if not any(kind == "b" for kind, _ in word):
+    if not _has(word, "b"):
         raise ValueError("word lacks a b-letter")
-    if _trace(ctx, word, ctx.p0, HOST_T) is None:
+    if _walk_from(ctx, word, (ctx.p0,)) is None:
         raise ValueError("word is not a B-side walk word from p_0")
     if ctx.k % 2 == 0:
         return conjugate(ctx, g_even(ctx, word))
@@ -712,11 +708,11 @@ def g_total_aside(ctx: PathContext, word: Word) -> Word:
     containing an a-letter into p_0-rooted ones of the same length.  The
     A-side subgraph is identical in the tree and its transform, so no
     final reinterpretation is needed."""
-    if any(kind == "b" for kind, _ in word):
+    if _has(word, "b"):
         raise ValueError("g_total_aside takes A-side words only")
-    if not any(kind == "a" for kind, _ in word):
+    if not _has(word, "a"):
         raise ValueError("word lacks an a-letter")
-    positions = _trace(ctx, word, ctx.pk, HOST_T)
+    positions = _walk_from(ctx, word, (ctx.pk,))
     if positions is None:
         raise ValueError("word is not an A-side walk word from p_k")
     k = ctx.k
@@ -737,15 +733,10 @@ def h_map(ctx: PathContext, word: Word) -> Word:
     separating C-run into a T11 prefix (mapped by f) and a p_0-rooted
     B-side suffix (mapped by g_total); T22 is the mirror with the A-side.
     """
-    if not word:
-        raise ValueError("cannot map an empty word")
-    record = ctx._words[HOST_T][len(word)].get(word) or _record(ctx, word, HOST_T)
-    if record is None:
-        raise ValueError("word is not valid in the original tree")
+    record = _t_record(ctx, word)
     wtype = record[1]
     if wtype is not _T21 and wtype is not _T22:
-        image = record[2]
-        return image if image is not None else _f_image(ctx, word, record)
+        return _f_image(ctx, word, record)
     # the start of the last proper C-run
     cut = max(lo for kind, lo, _hi in _runs(word)[1:-1] if kind == "C")
     prefix, suffix = word[:cut], word[cut:]

@@ -26,6 +26,8 @@ from treewalks.verify import (
 )
 from treewalks.walks import wiener
 
+from test_verify import _f_map_undecodable
+
 FIXED_TREE = "14\n0 1\n1 2\n2 3\n3 4\n1 5\n1 6\n2 7\n7 8\n7 9\n9 10\n4 11\n4 12\n12 13\n"
 
 GOLDEN = [
@@ -603,10 +605,13 @@ BROKEN_STREAMS = [
     (_path_profiles_bumped, partial(verify_closed_extremal, 6, 6)),
     (_path_profiles_bumped, partial(verify_kc_monotone, 6, 6, "both")),
     (_g_total_broken, partial(verify_injections, 5, 3)),
+    (_f_map_undecodable, partial(verify_injections, 5, 3)),
 ]
 
 
-@pytest.mark.parametrize("patch,sweep", BROKEN_STREAMS, ids=["closed-extremal", "kc-monotone", "injections"])
+@pytest.mark.parametrize(
+    "patch,sweep", BROKEN_STREAMS, ids=["closed-extremal", "kc-monotone", "injections", "injections-f-map"]
+)
 def test_streamed_report_holds_the_verdict(patch, sweep, monkeypatch):
     patch(monkeypatch)
     collected = sweep()

@@ -508,6 +508,51 @@ class TestInjectionSuites:
 SWEEP_IMAGE_DIGEST = "14872bf459ceb51b667b21e51216979fb2b3d085bad78ce7a3b930f8f9d0cfd1"
 
 
+# Broken word maps for the sweep's failure branches, each patched where the
+# sweep calls it.  The maps inside words (h_map's own f_map and g_total)
+# stay whole, so each breaks only the check of the map it replaces.
+def _f_map_undecodable(monkeypatch):
+    # open T11 words go to a word of their length that no T' walk spells
+    from treewalks import injections
+
+    real = injections.f_map
+
+    def f_map(ctx, word, closed=False):
+        if not closed and words.classify(word) is words.WordType.T11:
+            return (("a", 0),) * len(word)
+        return real(ctx, word, closed)
+
+    monkeypatch.setattr(injections, "f_map", f_map)
+
+
+def _g_total_short(monkeypatch):
+    from treewalks import injections
+
+    real = injections.g_total
+    monkeypatch.setattr(injections, "g_total", lambda ctx, word: real(ctx, word)[:-1])
+
+
+def _g_total_without_b(monkeypatch):
+    from treewalks import injections
+
+    monkeypatch.setattr(injections, "g_total", lambda ctx, word: (("c", 1),) * len(word))
+
+
+BROKEN_MAPS = [
+    (_f_map_undecodable, "f-general-inject"),
+    (_g_total_short, "g-total-inject"),
+    (_g_total_without_b, "g-total-inject"),
+]
+
+
+@pytest.mark.parametrize("patch,name", BROKEN_MAPS, ids=[p.__name__[1:] for p, _ in BROKEN_MAPS])
+def test_broken_map_fails_its_own_check(patch, name, monkeypatch):
+    patch(monkeypatch)
+    report = verify_injections(5, 3)
+    assert not report.ok
+    assert {c.name for c in report.checks if not c.passed} == {name}
+
+
 class TestWorkerPool:
     """``--workers`` is clamped to the CPU count.  A recording executor
     stands in for the process pool, so these start no process."""

@@ -227,6 +227,17 @@ class TestWordSets:
     def test_length_zero(self, k1):
         assert word_sets(k1, HOST_T, 0) == [({()}, {()})]
 
+    @pytest.mark.parametrize(
+        "start,end,expected",
+        [(None, None, {()}), (1, None, {()}), (None, 2, {()}), (2, 2, {()}), (1, 2, set())],
+    )
+    def test_words_of_length_zero(self, k1, start, end, expected):
+        # the empty walk stays where it starts, so a start/end mismatch
+        # leaves nothing
+        for host in (HOST_T, HOST_T2):
+            for part in (None, "A", "B", "P"):
+                assert words_of(k1, host, 0, start, end, part) == expected
+
 
 class TestPerHostMemo:
     def test_memo_holds_each_hosts_walks(self):
@@ -599,6 +610,19 @@ BAD_WORDS = [
     ("g_odd even k", "k2", lambda ctx: g_odd(ctx, parse_word("c1 b1"), 4), "g_odd needs a path of odd length"),
     ("g_odd a-letter", "k3", lambda ctx: g_odd(ctx, parse_word("a1 c1"), 4), "g_odd takes B-side words only"),
     ("g_odd no b-letter", "k3", lambda ctx: g_odd(ctx, parse_word("c1 c2"), 4), "word lacks a b-letter"),
+    # B-side words whose only walk starts at p_1 (k2) or p_2 (k3)
+    (
+        "g_even from neither end",
+        "k2",
+        lambda ctx: g_even(ctx, parse_word("c2 b1")),
+        r"^word does not start at any of \(0, 2\) in the B-side subgraph$",
+    ),
+    (
+        "g_odd from neither end",
+        "k3",
+        lambda ctx: g_odd(ctx, parse_word("c3 b1"), 4),
+        r"^word does not start at any of \(1, 3\) in the B-side subgraph$",
+    ),
     ("g_total not from p_0", "k1", lambda ctx: g_total(ctx, parse_word("b1")), "not a B-side walk word from p_0"),
     ("g_total_aside b-letter", "k1", lambda ctx: g_total_aside(ctx, parse_word("b1")), "takes A-side words only"),
     (
@@ -948,6 +972,24 @@ def _map_images(ctx, ell, t_words, t_closed):
         yield "g-odd", [(w, g_odd(ctx, w, u)) for w in b_side_from(ctx, ell, ctx.path[1])]
     yield "g-total", [(w, g_total(ctx, w)) for w in b_side_from(ctx, ell, ctx.p0)]
     yield "g-total-aside", [(w, g_total_aside(ctx, w)) for w in a_side_from_pk(ctx, ell)]
+
+
+def test_word_map_images_digest_on_fresh_contexts():
+    # every map on a context with no word sets, so each record it reads is
+    # traced on demand; the word lists come from a primed copy
+    digest = hashlib.sha256()
+    for primed in all_contexts(6):
+        sets = word_sets(primed, HOST_T, 5)
+        ctx = build_context(primed.tree, primed.p0, primed.pk)
+        for ell in range(1, 6):
+            for name, pairs in _map_images(ctx, ell, *sets[ell]):
+                line = " ".join(
+                    f"{word_to_str(w)}>{word_to_str(image)};" for w, image in sorted(pairs)
+                )
+                head = f"{sorted(ctx.tree.edges)} {ctx.path} {name} {ell}"
+                digest.update(f"{head}: {line}\n".encode())
+        assert not ctx._words[HOST_T2]
+    assert digest.hexdigest() == IMAGE_DIGEST
 
 
 def test_word_map_images_digest():
