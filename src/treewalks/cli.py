@@ -167,8 +167,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
     length = args.length
     if args.kind != "wiener" and (length is None or length < 1):
-        sys.stderr.write("error: --len is required and must be >= 1\n")
-        return 2
+        raise ValueError("--len is required and must be >= 1")
     counters = {
         "closed": lambda t: count_closed_walks(t, length),
         "all": lambda t: count_walks(t, length),
@@ -195,8 +194,7 @@ def _cmd_kc(args: argparse.Namespace) -> int:
         return 0
     x, y = args.x, args.y
     if x is None or y is None:
-        sys.stderr.write("error: kc needs --x and --y (or --list-moves)\n")
-        return 2
+        raise ValueError("kc needs --x and --y (or --list-moves)")
     moved = kc_transform(t, x, y)
     labels = None
     if args.format == "dot":

@@ -1,6 +1,9 @@
 """Tree generation: the Pruefer correspondence, free-tree enumeration,
 and the named parametric families (paths, stars, brooms and relatives).
 
+Every tree built here, except a Pruefer decoding, is a parent list
+(``_from_parents``): vertices numbered as created, each hung from an earlier one.
+
 ``enumerate_free_trees`` builds each free tree once, by the
 Wright-Richmond-Odlyzko-McKay generator over level sequences, and sorts
 the classes by canonical code.  Its trees are numbered in level-sequence
@@ -98,7 +101,7 @@ def all_labeled_trees(n: int) -> Iterator[Tree]:
     at small n, not for production sweeps.
     """
     if n == 1:
-        yield tree(1, [])
+        yield _from_parents([])
         return
     for seq in product(range(n), repeat=n - 2):
         yield from_pruefer(seq, n)
@@ -162,14 +165,14 @@ def _free_level_sequences(n: int) -> Iterator[list[int]]:
 
 def _level_tree(levels: list[int]) -> Tree:
     """The tree of a level sequence, vertices numbered in preorder."""
-    edges = []
+    parents = []
     spine: list[int] = []  # spine[d]: the latest vertex at depth d
     for v, d in enumerate(levels):
         del spine[d:]
         if d:
-            edges.append((spine[d - 1], v))
+            parents.append(spine[d - 1])
         spine.append(v)
-    return tree(len(levels), edges)
+    return _from_parents(parents)
 
 
 def enumerate_free_trees(n: int) -> list[Tree]:
@@ -182,7 +185,7 @@ def enumerate_free_trees(n: int) -> list[Tree]:
     if not (1 <= n <= MAX_FREE_TREE_N):
         raise ValueError(f"n must be in 1..{MAX_FREE_TREE_N}, got {n}")
     if n == 1:
-        return [tree(1, [])]
+        return [_from_parents([])]
     return sorted(map(_level_tree, _free_level_sequences(n)), key=canonical_code)
 
 
@@ -227,29 +230,33 @@ def leaf_rooted(t: Tree) -> Tree:
         for edge, seq in seqs.items():
             rank[edge] = ranks[seq]
     root = max(t.leaves(), key=lambda leaf: rank[leaf, adj[leaf][0]])
-    edges = []
+    parents = []
     stack = [(adj[root][0], root, 0)]  # (vertex, its parent, parent's label)
     while stack:
         v, u, up = stack.pop()
-        label = len(edges) + 1
-        edges.append((up, label))
-        stack.extend([(k[2], v, label) for k in reversed(kids[u, v])])
-    return tree(n, edges)
+        parents.append(up)  # v's label is now len(parents)
+        stack.extend([(k[2], v, len(parents)) for k in reversed(kids[u, v])])
+    return _from_parents(parents)
 
 
 # Named families.  Path lengths count edges throughout.
 
 
+def _from_parents(parents: list[int]) -> Tree:
+    """The tree on 0..len(parents) in which vertex i+1 hangs from parents[i]."""
+    return tree(len(parents) + 1, [(p, v) for v, p in enumerate(parents, 1)])
+
+
 def path_tree(n: int) -> Tree:
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return tree(n, [(i, i + 1) for i in range(n - 1)])
+    return _from_parents(list(range(n - 1)))
 
 
 def star_tree(n: int) -> Tree:
     if n < 1:
         raise ValueError("star needs n >= 1")
-    return tree(n, [(0, i) for i in range(1, n)])
+    return _from_parents([0] * (n - 1))
 
 
 def broom(path_length: int, leaf_count: int) -> Tree:
@@ -257,10 +264,7 @@ def broom(path_length: int, leaf_count: int) -> Tree:
     to its far endpoint (vertex `path_length`)."""
     if path_length < 0 or leaf_count < 0:
         raise ValueError("broom parameters must be nonnegative")
-    n = path_length + 1 + leaf_count
-    edges = [(i, i + 1) for i in range(path_length)]
-    edges += [(path_length, path_length + 1 + j) for j in range(leaf_count)]
-    return tree(n, edges)
+    return _from_parents([*range(path_length), *[path_length] * leaf_count])
 
 
 def double_broom_walks(k: int) -> Tree:
@@ -279,17 +283,12 @@ def double_broom_paths(n: int, ell: int) -> Tree:
     extra = n - ell + 1
     if extra < 0:
         raise ValueError(f"n={n} too small for ell={ell}")
-    spine = ell - 2
-    lo, hi = extra // 2, extra - extra // 2
-    edges = [(i, i + 1) for i in range(spine)]
-    nxt = spine + 1
-    for _ in range(lo):
-        edges.append((0, nxt))
-        nxt += 1
-    for _ in range(hi):
-        edges.append((spine, nxt))
-        nxt += 1
-    return tree(nxt, edges)
+    return _double_broom(ell - 2, extra // 2, extra - extra // 2)
+
+
+def _double_broom(spine: int, lo: int, hi: int) -> Tree:
+    """A path 0..spine with lo leaves on vertex 0 and hi on vertex spine."""
+    return _from_parents([*range(spine), *[0] * lo, *[spine] * hi])
 
 
 def p_broom(n: int, ell: int, p: int) -> Tree:
@@ -308,15 +307,8 @@ def p_broom(n: int, ell: int, p: int) -> Tree:
             f"n={n} too small for p={p}, ell={ell}: needs {1 + p * half + p}"
         )
     base, rem = divmod(leaf_total, p)
-    edges = []
-    nxt = 1
+    parents = []
     for leg in range(p):
-        prev = 0
-        for _ in range(half):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        for _ in range(base + (1 if leg < rem else 0)):
-            edges.append((prev, nxt))
-            nxt += 1
-    return tree(nxt, edges)
+        end = len(parents) + half  # the leg's far end
+        parents += [0, *range(end - half + 1, end), *[end] * (base + (leg < rem))]
+    return _from_parents(parents)

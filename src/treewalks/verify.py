@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 
 from .transforms import _kc_along, bare_paths, dc_transform, valency
-from .trees import Tree, _branch, canonical_code, distances_from, tree_path
+from .trees import Tree, _branch, canonical_code, distances_from, is_isomorphic, tree_path
 
 __all__ = [
     "BroomProfile",
@@ -516,11 +516,11 @@ def build_counterexample(c, k: int, ell: int) -> CounterexampleResult:
 
 
 def verify_path_extremal(max_n: int, ell: int, emit=None) -> VerificationReport:
-    """For each n <= max_n the maximum count of length-ell paths over all
-    trees must equal the best multi-broom value (even ell) or the balanced
-    double-broom formula (odd ell).  One block of checks per n goes to
-    ``emit`` (see ``_stream``)."""
-    from .generate import enumerate_free_trees, p_broom
+    """For each n <= max_n the maximum count of length-ell paths over the
+    enumerated trees must equal the best ``broom_paths_exact`` over ``_legs``
+    (even ell; the star at ell = 2) or the balanced double-broom formula
+    (odd ell).  One block of checks per n goes to ``emit`` (see ``_stream``)."""
+    from .generate import enumerate_free_trees
     from .walks import count_ell_paths
 
     _require("ell", ell, 2)
@@ -535,12 +535,10 @@ def verify_path_extremal(max_n: int, ell: int, emit=None) -> VerificationReport:
             argmax = sorted(c for c, v in values.items() if v == vmax)
             base = f"n={n:02d} len={ell:02d}"
             report.extremal_witnesses[base] = {"max": argmax, "value": vmax}
-            if ell == 2:
-                expect = (n - 1) * (n - 2) // 2
-                yield [Check(n, ell, "star-formula", vmax, expect, "==", vmax == expect)]
-            elif ell % 2 == 0:
-                best = max((count_ell_paths(p_broom(n, ell, p), ell) for p in _legs(n, ell)), default=0)
-                yield [Check(n, ell, "broom-max", vmax, best, "==", vmax == best)]
+            if ell % 2 == 0:
+                best = max((broom_paths_exact(n, ell, p) for p in _legs(n, ell)), default=0)
+                rule = "star-formula" if ell == 2 else "broom-max"
+                yield [Check(n, ell, rule, vmax, best, "==", vmax == best)]
             else:
                 extra = max(n - ell + 1, 0)
                 expect = (extra // 2) * (extra - extra // 2)
@@ -560,8 +558,8 @@ def verify_path_extremal(max_n: int, ell: int, emit=None) -> VerificationReport:
 
 
 def _legs(n: int, ell: int) -> range:
-    """The feasible leg counts p of a p-broom of order n, even ell >= 4:
-    each leg takes (ell-2)/2 path vertices and at least one leaf."""
+    """The feasible leg counts p of a p-broom of order n, even ell >= 2 (the
+    star at 2): each leg takes (ell-2)/2 path vertices and at least one leaf."""
     return range(1, (n - 1) // ((ell - 2) // 2 + 1) + 1)
 
 
@@ -770,23 +768,11 @@ def _is_leg(t: Tree, center: int, nb: int, half: int) -> bool:
 
 def is_double_broom(t: Tree, ell: int) -> bool:
     """Whether the tree is a spine of ell-2 edges with every remaining
-    vertex a leaf on one of the spine ends."""
+    vertex a leaf on one of the spine ends: whether it is isomorphic to
+    ``generate._double_broom(ell-2, a, n-ell+1-a)`` for some a."""
+    from .generate import _double_broom
+
     if ell < 3:
         raise ValueError("double-broom shape needs ell >= 3")
-    span = ell - 2
-    for x in range(t.n):
-        dist = distances_from(t, x)
-        for y in range(t.n):
-            if dist[y] != span:
-                continue
-            spine = set(tree_path(t, x, y))
-            ok = True
-            for v in range(t.n):
-                if v in spine:
-                    continue
-                if t.degree(v) != 1 or t.neighbors(v)[0] not in (x, y):
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
+    extra = t.n - ell + 1  # no split when negative
+    return any(is_isomorphic(t, _double_broom(ell - 2, a, extra - a)) for a in range(extra // 2 + 1))

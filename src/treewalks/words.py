@@ -427,6 +427,9 @@ def words_of(
     walks starting/ending at fixed vertices and to a side subgraph
     (part 'A' = A with the path, 'B' = B with the path, 'P' = path only)."""
     _require_host(host)
+    for v in (start, end):
+        if v is not None:
+            ctx.tree._check_vertex(v)
     adj = _side_adjacency(ctx, host, part)
     out: set[Word] = set()
     sources = [start] if start is not None else list(range(len(adj)))

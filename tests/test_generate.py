@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import networkx as nx
@@ -20,7 +21,8 @@ from treewalks.generate import (
     star_tree,
     to_pruefer,
 )
-from treewalks.trees import canonical_code, is_isomorphic, tree, tree_path
+from treewalks.trees import canonical_code, format_tree_text, is_isomorphic, tree, tree_path
+from treewalks.verify import _legs
 
 from conftest import A000055, trees
 
@@ -185,7 +187,46 @@ class TestLeafRooted:
         )
 
 
+# sha256 over format_tree_text of every tree that family_grid yields, in order
+FAMILY_DIGEST = "1e6b611539a84a9b26d8589d0c824cbffbb6ce4134150371a7f0210c9f65b1aa"
+
+
+def family_grid():
+    """2,285 family trees: paths and stars, brooms, double brooms and
+    p-brooms over small parameters."""
+    for n in range(1, 41):
+        yield path_tree(n)
+        yield star_tree(n)
+    for path_length, leaves in itertools.product(range(13), repeat=2):
+        yield broom(path_length, leaves)
+    for n in range(1, 41):
+        for ell in range(2, n + 2):
+            yield double_broom_paths(n, ell)
+    for k in range(1, 61):
+        yield double_broom_walks(k)
+    for n in range(1, 41):
+        for ell in range(4, 15, 2):
+            for p in _legs(n, ell):
+                yield p_broom(n, ell, p)
+
+
 class TestFamilies:
+    def test_family_labels_digest(self):
+        # pins every vertex label, not only the degrees and shapes below
+        digest = hashlib.sha256()
+        count = 0
+        for t in family_grid():
+            digest.update(format_tree_text(t).encode())
+            count += 1
+        assert count == 2285
+        assert digest.hexdigest() == FAMILY_DIGEST
+
+    def test_family_repr(self):
+        # two legs 1-2 and 5-6; the leftover third leaf goes to the first
+        assert repr(p_broom(8, 6, 2)) == (
+            "Tree(n=8, edges=[(0, 1), (0, 5), (1, 2), (2, 3), (2, 4), (5, 6), (6, 7)])"
+        )
+
     def test_broom_from_exact_rational_instance(self):
         # ck = 720 leaves, (2-c)k = 1280 path edges at c = 18/25, k = 1000
         t = broom(1280, 720)

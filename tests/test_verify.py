@@ -1,5 +1,6 @@
 import hashlib
 import random
+from decimal import Decimal, localcontext
 from math import comb
 
 import pytest
@@ -341,6 +342,11 @@ class TestDcReduce:
 # Extremal shapes of the path count: p-brooms (even length) and double brooms
 # (odd length)
 
+# sha256 over "n,index,labelling,ell" of the cases is_double_broom accepts in
+# test_double_broom_acceptance_digest, recorded with the spine-end search
+# that is_double_broom ran before it tested isomorphism to a double broom
+DOUBLE_BROOM_DIGEST = "c1b8868c05cf438525230247047dcf2cf0afdbdb5af6f3aa4087011dddf81366"
+
 
 class TestBroomShapes:
     @pytest.mark.parametrize("ell", [4, 6, 8])
@@ -358,6 +364,22 @@ class TestBroomShapes:
     def test_every_double_broom_is_one(self, ell):
         for n in range(ell - 1, 30):
             assert is_double_broom(double_broom_paths(n, ell), ell), n
+
+    def test_double_broom_acceptance_digest(self):
+        # every free tree n <= 12, as enumerated and as leaf_rooted, at
+        # ell = 3..n+2
+        digest = hashlib.sha256()
+        cases = accepted = 0
+        for n in range(1, 13):
+            for i, t in enumerate(enumerate_free_trees(n)):
+                for label, u in (("enum", t), ("leaf", leaf_rooted(t))):
+                    for ell in range(3, n + 3):
+                        cases += 1
+                        if is_double_broom(u, ell):
+                            accepted += 1
+                            digest.update(f"{n},{i},{label},{ell}\n".encode())
+        assert (cases, accepted) == (22012, 322)
+        assert digest.hexdigest() == DOUBLE_BROOM_DIGEST
 
     def test_other_shapes_are_rejected(self):
         assert not is_p_broom(path_tree(9), 4)
@@ -639,6 +661,44 @@ BAD_ARGUMENTS = [
 def test_argument_outside_domain_raises(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+class TestBroomClosedForms:
+    """``broom_paths_exact`` is the best-p-broom value path-extremal checks
+    against; these tie it to the path kernel and to a direct argmax."""
+
+    def test_closed_form_matches_the_kernel(self):
+        cases = 0
+        for n in range(1, 41):
+            for ell in range(4, 15, 2):
+                for p in verify._legs(n, ell):
+                    assert verify.broom_paths_exact(n, ell, p) == count_ell_paths(p_broom(n, ell, p), ell), (n, ell, p)
+                    cases += 1
+        assert cases == 1156
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_best_value_at_length_two_is_the_star(self, n):
+        best = max((verify.broom_paths_exact(n, 2, p) for p in verify._legs(n, 2)), default=0)
+        assert best == (n - 1) * (n - 2) // 2
+
+    def test_argmax_is_the_maximizer_nearest_the_stationary_point(self):
+        cells = ties = 0
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for ell in range(4, 21, 2):
+                for n in range(5, 301):
+                    legs = verify._legs(n, ell)
+                    if not legs:
+                        continue
+                    values = {p: verify.broom_paths_exact(n, ell, p) for p in legs}
+                    best = max(values.values())
+                    top = [p for p, v in values.items() if v == best]
+                    point = Decimal(1) / 4 + (Decimal(1) / 16 + Decimal(n - 1) / (ell - 2)).sqrt()
+                    expect = min(top, key=lambda p: (abs(p - point), p))
+                    assert broom_profile(n, ell).argmax_p == expect, (n, ell)
+                    cells += 1
+                    ties += len(top) > 1
+        assert (cells, ties) == (2643, 35)
 
 
 def test_broom_profile_with_one_feasible_leg():

@@ -631,6 +631,10 @@ BAD_WORDS = [
         lambda ctx: g_total_aside(ctx, parse_word("a1")),
         "not an A-side walk word from p_k",
     ),
+    ("words_of start past n", "k1", lambda ctx: words_of(ctx, HOST_T, 0, start=99), r"^vertex 99 out of range for n=4$"),
+    ("words_of start past n, len 2", "k1", lambda ctx: words_of(ctx, HOST_T, 2, start=99), r"^vertex 99 out of range for n=4$"),
+    ("words_of negative start", "k1", lambda ctx: words_of(ctx, HOST_T2, 2, start=-1), r"^vertex -1 out of range for n=4$"),
+    ("words_of end past n", "k1", lambda ctx: words_of(ctx, HOST_T, 0, end=99), r"^vertex 99 out of range for n=4$"),
 ]
 
 
