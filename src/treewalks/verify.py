@@ -769,10 +769,16 @@ def _is_leg(t: Tree, center: int, nb: int, half: int) -> bool:
 def is_double_broom(t: Tree, ell: int) -> bool:
     """Whether the tree is a spine of ell-2 edges with every remaining
     vertex a leaf on one of the spine ends: whether it is isomorphic to
-    ``generate._double_broom(ell-2, a, n-ell+1-a)`` for some a."""
+    ``generate._double_broom(ell-2, lo, hi)`` for some lo <= hi.  That tree
+    has largest degree hi+1 when hi >= 2; otherwise no degree is above 2
+    and lo, hi is the even split.  So t's largest degree names the one
+    split to test."""
     from .generate import _double_broom
 
     if ell < 3:
         raise ValueError("double-broom shape needs ell >= 3")
-    extra = t.n - ell + 1  # no split when negative
-    return any(is_isomorphic(t, _double_broom(ell - 2, a, extra - a)) for a in range(extra // 2 + 1))
+    extra = t.n - ell + 1
+    top = max(map(len, t.adjacency))
+    hi = top - 1 if top > 2 else extra - extra // 2
+    lo = extra - hi
+    return 0 <= lo <= hi and is_isomorphic(t, _double_broom(ell - 2, lo, hi))

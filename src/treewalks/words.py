@@ -48,42 +48,43 @@ splits a C-run by index arithmetic on path positions (c_j joins p_(j-1)
 and p_j), and a word with no letter of the other side has no C-run to
 split, so it is kept or conjugated whole.
 
-A PathContext keeps its labeling as two tables keyed by host,
-ctx._labels[host] (edge -> letter) and ctx._edges[host] (letter -> edge),
-and builds a few more once, each of O(k) letters or O(deg) vertices: the
-conjugation table (also the even-k mirror of the g maps), the B-side
-neighbors of p_k and the A-side neighbors of p_0, and, on first use, the
-mirror of each path extended by one edge for odd k.
+A PathContext builds every table it has in its constructor, each a pure
+function of the tree and the path: the labeling as two tables keyed by
+host, ctx._labels[host] (edge -> letter) and ctx._edges[host] (letter ->
+edge); one labeled adjacency per host, ctx._adjacency[host], whose
+neighbors ascend as in Tree.adjacency; the conjugation table (also the
+even-k mirror of the g maps); the A-side neighbors of p_0 and the B-side
+neighbors of p_k; and, for odd k, the mirror of the path extended by the
+edge to each of those neighbors.  words_of walks a host's adjacency and
+skips the letters outside its side subgraph.
 
-It also memoizes each word that decodes in a host as one record,
-[walks, type, f-image], in the table ctx._words[host][len(word)].  Every
-lookup reads that one table: decode_word the walks, f_map and h_map the
-walks (that the word decodes), the type and the f-image, which they store
-in the record's last slot on first use (host T only), the g maps the walk
-they reflect (_walk_from), and the injection sweep's image test the walks
-and type of a T'-word.  _grow_words, which
-word_sets runs, grows all walks of a host one letter per level and
-inserts each word's record into its table once: the walks in start-vertex
-order, and the type from the first and last non-c kinds each walk
-carries.  A word it has not seen is traced and classified on demand; a
-word that decodes to nothing gets no record.  So once the growth has run
-on a host to length l, each table up to l holds exactly the host's words
-of that length, and the sweep reads the word sets off the tables.  The
-growth also returns, per length and start vertex, the words of the walks
-with a b-letter and no a-letter, read off the same kinds: the B-side
-words that touch B, which the g maps and the counting lemmas take.  The
-labeled side adjacency of each (host, part) is memoized as well.  The
-memos live exactly as long as their context (a sweep builds one context
-per tree and bare path and drops it after the last length), and they sit
-under the validations, never in place of them: f_map and h_map still
-check that their input decodes and that its type is in the domain before
-a memoized result is returned, and decode_word hands out a fresh list.
+The one table that grows after construction is the word memo: each word
+that decodes in a host gets one record, [walks, type, f-image], in
+ctx._words[host][len(word)].  Every lookup reads that one table:
+decode_word the walks, f_map and h_map the walks (that the word decodes),
+the type and the f-image, which they store in the record's last slot on
+first use (host T only), the g maps the walk they reflect (_walk_from),
+and the injection sweep's image test the walks and type of a
+T'-word.  _grow_words, which word_sets runs, grows all walks of a host one
+letter per level and inserts each word's record into its table once: the
+walks in start-vertex order, and the type from the first and last non-c
+kinds each walk carries.  A word it has not seen is traced and classified
+on demand; a word that decodes to nothing gets no record.  So once the
+growth has run on a host to length l, each table up to l holds exactly the
+host's words of that length, and the sweep reads the word sets off the
+tables.  The growth also returns, per length and start vertex, the words of
+the walks with a b-letter and no a-letter, read off the same kinds: the
+B-side words that touch B, which the g maps and the counting lemmas
+take.  The memo lives exactly as long as its context (a sweep builds one
+context per tree and bare path and drops it after the last length), and it
+sits under the validations, never in place of them: f_map and h_map still
+check that their input decodes and that its type is in the domain before a
+memoized result is returned, and decode_word hands out a fresh list.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
 from operator import itemgetter
@@ -148,40 +149,64 @@ class WordType(Enum):
 _T0, _T11, _T12, _T21, _T22 = WordType.T0, WordType.T11, WordType.T12, WordType.T21, WordType.T22
 
 
-@dataclass(frozen=True, eq=False)
 class PathContext:
     """A tree, a bare path p_0..p_k, the edge labeling it induces, and the
-    transformed tree with the inherited labeling."""
+    transformed tree with the inherited labeling.  The constructor builds
+    every table of the context (see the module docstring); only the word
+    records in _words grow afterwards.  Contexts compare by identity."""
 
-    tree: Tree
-    path: tuple[int, ...]
-    transformed_tree: Tree
-    a_component: frozenset
-    b_component: frozenset
-    _labels: dict = field(repr=False)  # host -> (u,v) -> Letter
-    _edges: dict = field(repr=False)  # host -> Letter -> (u,v)
-    # per-context tables, see the module docstring
-    _conjugation: dict = field(repr=False)  # c_i -> c_(k+1-i)
-    _b_neighbors: tuple = field(repr=False)  # B-side neighbors of p_k
-    _a_neighbors: tuple = field(repr=False)  # A-side neighbors of p_0
-    _mirrors: dict = field(default_factory=dict, repr=False)  # (end, u) -> mirror
-    # memos, see the module docstring
-    _words: dict = field(  # host -> length -> word -> record
-        default_factory=lambda: defaultdict(lambda: defaultdict(dict)), repr=False
-    )
-    _adjacency: dict = field(default_factory=dict, repr=False)  # (host, part) -> lists
+    def __init__(self, t: Tree, path: tuple[int, ...]) -> None:
+        self.tree, self.path = t, path
+        self.k, self.p0, self.pk = k, p0, pk = len(path) - 1, path[0], path[-1]
+        self.a_component = a_comp = _branch(t, p0, path[1])
+        self.b_component = b_comp = _branch(t, pk, path[-2])
+        if a_comp & b_comp:
+            raise RuntimeError(f"path {path} does not separate its end components")
 
-    @property
-    def k(self) -> int:
-        return len(self.path) - 1
+        c_letters = [("c", i) for i in range(1, k + 1)]
+        edge_label: dict[tuple[int, int], Letter] = {
+            (min(u, v), max(u, v)): letter for u, v, letter in zip(path, path[1:], c_letters)
+        }
+        for kind, comp in (("a", a_comp), ("b", b_comp)):
+            side_edges = sorted(e for e in t.edges if e[0] in comp and e[1] in comp)
+            for i, e in enumerate(side_edges):
+                edge_label[e] = (kind, i + 1)
+        if len(edge_label) != t.n - 1:
+            raise RuntimeError(f"{len(edge_label)} labels for {t.n - 1} edges")
 
-    @property
-    def p0(self) -> int:
-        return self.path[0]
+        self.transformed_tree = t2 = _kc_along(t, path)
+        edge_label_t2: dict[tuple[int, int], Letter] = {}
+        for (u, v), letter in edge_label.items():
+            if letter[0] == "b" and pk in (u, v):
+                w = v if u == pk else u
+                edge_label_t2[(min(p0, w), max(p0, w))] = letter
+            else:
+                edge_label_t2[(u, v)] = letter
+        if set(edge_label_t2) != set(t2.edges):
+            raise RuntimeError("the inherited labeling does not cover the transform's edges")
 
-    @property
-    def pk(self) -> int:
-        return self.path[-1]
+        self._labels = {HOST_T: edge_label, HOST_T2: edge_label_t2}  # host -> edge -> letter
+        self._edges = {}  # host -> letter -> edge
+        self._adjacency = {}  # host -> vertex -> [(neighbor, letter)], neighbors ascending
+        for host, table in self._labels.items():
+            self._edges[host] = {letter: e for e, letter in table.items()}
+            adj = self._adjacency[host] = [[] for _ in range(t.n)]
+            for (u, v), letter in sorted(table.items()):
+                adj[u].append((v, letter))
+                adj[v].append((u, letter))
+        self._conjugation = _mirror(c_letters)  # c_i -> c_(k+1-i)
+        self._a_neighbors = tuple(w for w in t.neighbors(p0) if w in a_comp)
+        self._b_neighbors = tuple(w for w in t.neighbors(pk) if w in b_comp)
+        # odd k: the mirror of c_1..c_k extended by the edge from its end to
+        # u, keyed by u (the A-neighbors of p_0 and B-neighbors of p_k)
+        self._mirrors = {}
+        if k % 2:
+            for u in self._a_neighbors:
+                self._mirrors[u] = _mirror([edge_label[min(p0, u), max(p0, u)], *c_letters])
+            for u in self._b_neighbors:
+                self._mirrors[u] = _mirror([*c_letters, edge_label[min(pk, u), max(pk, u)]])
+        # the one memo: host -> length -> word -> record
+        self._words = defaultdict(lambda: defaultdict(dict))
 
     @property
     def labeling(self) -> dict:
@@ -208,52 +233,12 @@ class PathContext:
 
 
 def build_context(t: Tree, x: int, y: int) -> PathContext:
-    """Label the tree relative to the bare path from x to y and build the
-    transformed tree with the inherited labeling."""
+    """The context of the bare path from x to y; ValueError when x and y do
+    not span one."""
     path = _path_if_bare(t, x, y)
     if path is None:
         raise ValueError(f"({x}, {y}) does not span a bare path")
-    a_comp = _branch(t, path[0], path[1])
-    b_comp = _branch(t, path[-1], path[-2])
-    if a_comp & b_comp:
-        raise RuntimeError(f"path {path} does not separate its end components")
-
-    edge_label: dict[tuple[int, int], Letter] = {}
-    for i in range(len(path) - 1):
-        u, v = path[i], path[i + 1]
-        edge_label[(min(u, v), max(u, v))] = ("c", i + 1)
-    for kind, comp in (("a", a_comp), ("b", b_comp)):
-        side_edges = sorted(e for e in t.edges if e[0] in comp and e[1] in comp)
-        for i, e in enumerate(side_edges):
-            edge_label[e] = (kind, i + 1)
-    if len(edge_label) != t.n - 1:
-        raise RuntimeError(f"{len(edge_label)} labels for {t.n - 1} edges")
-
-    t2 = _kc_along(t, path)
-    p0, pk = path[0], path[-1]
-    edge_label_t2: dict[tuple[int, int], Letter] = {}
-    for (u, v), letter in edge_label.items():
-        if letter[0] == "b" and pk in (u, v):
-            w = v if u == pk else u
-            edge_label_t2[(min(p0, w), max(p0, w))] = letter
-        else:
-            edge_label_t2[(u, v)] = letter
-    if set(edge_label_t2) != set(t2.edges):
-        raise RuntimeError("the inherited labeling does not cover the transform's edges")
-    labels = {HOST_T: edge_label, HOST_T2: edge_label_t2}
-
-    return PathContext(
-        tree=t,
-        path=path,
-        transformed_tree=t2,
-        a_component=a_comp,
-        b_component=b_comp,
-        _labels=labels,
-        _edges={host: {v: e for e, v in table.items()} for host, table in labels.items()},
-        _conjugation=_mirror([("c", i) for i in range(1, len(path))]),
-        _b_neighbors=tuple(w for w in t.neighbors(pk) if w in b_comp),
-        _a_neighbors=tuple(w for w in t.neighbors(p0) if w in a_comp),
-    )
+    return PathContext(t, path)
 
 
 def word_to_str(word: Word) -> str:
@@ -425,12 +410,14 @@ def words_of(
 ) -> set[Word]:
     """The set of host words of the given length, optionally restricted to
     walks starting/ending at fixed vertices and to a side subgraph
-    (part 'A' = A with the path, 'B' = B with the path, 'P' = path only)."""
+    (part 'A' = A with the path, 'B' = B with the path, 'P' = path only).
+    One DFS per start over the host's adjacency, which skips the letters
+    outside the part."""
     _require_host(host)
     for v in (start, end):
         if v is not None:
             ctx.tree._check_vertex(v)
-    adj = _side_adjacency(ctx, host, part)
+    adj, kinds = ctx._adjacency[host], _PART_KINDS[part]
     out: set[Word] = set()
     sources = [start] if start is not None else list(range(len(adj)))
     for s in sources:
@@ -442,25 +429,9 @@ def words_of(
                     out.add(word)
                 continue
             for u, letter in adj[pos]:
-                stack.append((u, word + (letter,)))
+                if letter[0] in kinds:
+                    stack.append((u, word + (letter,)))
     return out
-
-
-def _side_adjacency(
-    ctx: PathContext, host: str, part: str | None
-) -> list[list[tuple[int, Letter]]]:
-    """Per vertex, the (neighbor, letter) steps of the host restricted to
-    the side subgraph `part`, memoized on the context; neighbors ascend, as
-    in Tree.adjacency, because the edges come sorted."""
-    adj = ctx._adjacency.get((host, part))
-    if adj is None:
-        kinds = _PART_KINDS[part]
-        adj = ctx._adjacency[(host, part)] = [[] for _ in range(ctx.tree.n)]
-        for (u, v), letter in sorted(ctx._labels[host].items()):
-            if letter[0] in kinds:
-                adj[u].append((v, letter))
-                adj[v].append((u, letter))
-    return adj
 
 
 def word_sets(
@@ -487,7 +458,7 @@ def _grow_words(
     that table and the words of the walks with state "bb" (a b-letter and
     no a-letter) by start vertex, which are distinct, since from a fixed
     start a word spells one walk."""
-    adj = _side_adjacency(ctx, host, None)
+    adj = ctx._adjacency[host]
     after, type_of = _KINDS_AFTER, _TYPE_OF_KINDS
     tables = ctx._words[host]
     walks = [((v,), (), "") for v in range(len(adj))]  # (positions, word, kinds)
@@ -630,18 +601,6 @@ def _mirror(letters: list[Letter]) -> dict[Letter, Letter]:
     return dict(zip(letters, reversed(letters)))
 
 
-def _extended_mirror(ctx: PathContext, end: int, u: int) -> dict[Letter, Letter]:
-    """The mirror of c_1..c_k extended at its end vertex `end` (p_0 or p_k)
-    by the edge to u, built once per (end, u) on the context."""
-    table = ctx._mirrors.get((end, u))
-    if table is None:
-        letters = [("c", i) for i in range(1, ctx.k + 1)]
-        edge = ctx.label_of(end, u, HOST_T)
-        letters = [edge] + letters if end == ctx.p0 else letters + [edge]
-        table = ctx._mirrors[end, u] = _mirror(letters)
-    return table
-
-
 def _reflect(
     word: Word, positions: tuple[int, ...], midpoint: int, mirror: dict[Letter, Letter]
 ) -> Word:
@@ -682,8 +641,7 @@ def g_odd(ctx: PathContext, word: Word, u: int) -> Word:
     if u not in ctx.b_neighbors_of_pk():
         raise ValueError(f"{u} is not a B-side neighbor of the far endpoint")
     positions = _b_side_walk(ctx, word, "g_odd", (ctx.path[1], ctx.pk))
-    mirror = _extended_mirror(ctx, ctx.pk, u)
-    return _reflect(word, positions, ctx.path[(ctx.k + 1) // 2], mirror)
+    return _reflect(word, positions, ctx.path[(ctx.k + 1) // 2], ctx._mirrors[u])
 
 
 def g_total(ctx: PathContext, word: Word) -> Word:
@@ -724,7 +682,7 @@ def g_total_aside(ctx: PathContext, word: Word) -> Word:
     # Odd k: strip the forced leading c_k, reflect through the path
     # u,p_0..p_k extended by the smallest A-neighbor u of p_0, then restore
     # the length.
-    mirror = _extended_mirror(ctx, ctx.p0, min(ctx.a_neighbors_of_p0()))
+    mirror = ctx._mirrors[min(ctx.a_neighbors_of_p0())]
     image = _reflect(word[1:], positions[1:], ctx.path[(k - 1) // 2], mirror)
     return image + (image[-1],)
 

@@ -340,6 +340,28 @@ def test_python_m_treewalks_matches_cli_module():
 
 
 @pytest.mark.parametrize(
+    "kind,code,err",
+    [("wiener", 0, ""), ("paths", 2, "error: --len is required and must be >= 1\n")],
+)
+def test_python_m_treewalks_count_matches_cli_module(fixed_tree, kind, code, err):
+    # __main__.py hands sys.exit main's code, so the exit-2 usage error
+    # must come through as the cli module gives it
+    results = [
+        subprocess.run(
+            [sys.executable, "-m", module, "count", "--kind", kind, fixed_tree],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        for module in ("treewalks", "treewalks.cli")
+    ]
+    package, cli = ((p.returncode, p.stdout, p.stderr) for p in results)
+    assert package == cli
+    assert (package[0], package[2]) == (code, err)
+    assert package[1] == ("" if code else f"{wiener(parse_tree_text(FIXED_TREE))}\n")
+
+
+@pytest.mark.parametrize(
     "argv", [["verify", "injections", "--max-n", "5"]], ids=["verify injections"]
 )
 @pytest.mark.parametrize("max_len", ["0", "-1"])

@@ -389,6 +389,47 @@ class TestBroomShapes:
         assert not is_p_broom(tree(6, [(0, 1), (1, 2), (0, 3), (3, 4), (1, 5)]), 6)
         assert not is_double_broom(tree(5, [(0, 1), (1, 2), (2, 3), (1, 4)]), 5)
 
+    def test_double_broom_tests_one_candidate(self):
+        # the largest degree names the split, so one call computes at most
+        # the codes of the tree and of one candidate; testing every split
+        # computed 100 on this tree
+        rng = random.Random(5)
+        t = from_pruefer([rng.randrange(200) for _ in range(198)], 200)
+        before = canonical_code.cache_info().misses
+        assert not is_double_broom(t, 5)
+        assert canonical_code.cache_info().misses - before <= 2
+
+    def test_double_broom_matches_every_split_search(self):
+        # oracle: isomorphism to the double broom of some split, every
+        # split tried, on relabelled double brooms and random trees
+        from treewalks.generate import _double_broom
+
+        def every_split(t, ell):
+            extra = t.n - ell + 1
+            return any(
+                trees.is_isomorphic(t, _double_broom(ell - 2, a, extra - a))
+                for a in range(extra // 2 + 1)
+            )
+
+        rng = random.Random(26)
+        cases = accepted = 0
+        for _ in range(400):
+            spine = rng.randrange(1, 12)
+            lo, hi = rng.randrange(0, 8), rng.randrange(0, 8)
+            built = _double_broom(spine, lo, hi)
+            labels = list(range(built.n))
+            rng.shuffle(labels)
+            relabelled = tree(built.n, [(labels[u], labels[v]) for u, v in built.edges])
+            n = built.n
+            drawn = from_pruefer([rng.randrange(n) for _ in range(n - 2)], n) if n > 2 else built
+            for t in (relabelled, drawn):
+                for ell in range(3, n + 3):
+                    expected = every_split(t, ell)
+                    assert is_double_broom(t, ell) == expected, (sorted(t.edges), ell)
+                    cases += 1
+                    accepted += expected
+        assert (cases, accepted) == (11184, 672)
+
     @pytest.mark.parametrize("ell", [3, 4, 5, 6])
     def test_dc_reduction_ends_in_the_extremal_shape(self, ell):
         shape = is_double_broom if ell % 2 else is_p_broom

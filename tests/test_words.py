@@ -126,6 +126,29 @@ class TestContext:
         with pytest.raises(ValueError):
             build_context(star_tree(5), 1, 2)
 
+    # the constructor's consistency guards, each reached by breaking the
+    # helper it checks; on the k1 tree the path is 1-2, A = {0, 1} and
+    # B = {2, 3}
+
+    def test_overlapping_components_rejected(self, monkeypatch):
+        monkeypatch.setattr(words, "_branch", lambda t, v, away_from: frozenset(range(t.n)))
+        with pytest.raises(RuntimeError, match=r"^path \(1, 2\) does not separate its end components$"):
+            build_context(tree(4, [(0, 1), (1, 2), (2, 3)]), 1, 2)
+
+    def test_component_missing_a_vertex_rejected(self, monkeypatch):
+        branch = words._branch
+        monkeypatch.setattr(words, "_branch", lambda t, v, away_from: branch(t, v, away_from) - {v})
+        with pytest.raises(RuntimeError, match=r"^1 labels for 3 edges$"):
+            build_context(tree(4, [(0, 1), (1, 2), (2, 3)]), 1, 2)
+
+    def test_transform_without_the_moved_edges_rejected(self, monkeypatch):
+        # b1 = 2-3 moves to 1-3 in the labeling, but the transform kept 2-3
+        monkeypatch.setattr(words, "_kc_along", lambda t, path: t)
+        with pytest.raises(
+            RuntimeError, match=r"^the inherited labeling does not cover the transform's edges$"
+        ):
+            build_context(tree(4, [(0, 1), (1, 2), (2, 3)]), 1, 2)
+
 
 class TestEncodeDecode:
     def test_back_and_forth(self, k1):
@@ -1008,3 +1031,55 @@ def test_word_map_images_digest():
                 head = f"{sorted(ctx.tree.edges)} {ctx.path} {name} {ell}"
                 digest.update(f"{head}: {line}\n".encode())
     assert digest.hexdigest() == IMAGE_DIGEST
+
+
+# sha256 over every bare-path context of every free tree with n <= 9, as
+# enumerated and as leaf-rooted, recorded before PathContext computed its
+# tables in its constructor: the path and its ends, the end components,
+# both labelings, the end neighbours, the transform's edges, each host's
+# words of length <= 3 with their walks and closedness, each side's
+# words_of sets, and on odd-k contexts g_odd through every B-neighbour of
+# p_k, not only the smallest one the sweep passes.
+CONTEXT_DIGEST = "9ff34a8d797efd29bda63aec9409b18f2c4cdd40b2e7a55dce559144ecc61a9e"
+CONTEXT_COUNT = 1986
+
+
+def _context_lines(ctx):
+    yield f"{ctx.path} {ctx.k} {ctx.p0} {ctx.pk}"
+    yield f"{sorted(ctx.a_component)} {sorted(ctx.b_component)}"
+    yield f"{sorted(ctx.labeling.items())}"
+    yield f"{sorted(ctx.labeling_transformed.items())}"
+    yield f"{ctx.b_neighbors_of_pk()} {ctx.a_neighbors_of_p0()} {sorted(ctx.transformed_tree.edges)}"
+    for host in (HOST_T, HOST_T2):
+        for ell, (found, closed) in enumerate(word_sets(ctx, host, 3)):
+            for word in sorted(found):
+                walks = decode_word(ctx, word, host)
+                yield f"{host} {ell} {word_to_str(word)} {walks} {word in closed}"
+            for part in (None, "A", "B", "P"):
+                yield f"{host} {ell} {part} {sorted(words_of(ctx, host, ell, part=part))}"
+    if ctx.k % 2 == 1:
+        for u in ctx.b_neighbors_of_pk():
+            for ell in range(1, 4):
+                for start in (ctx.path[1], ctx.pk):
+                    for word in sorted(b_side_from(ctx, ell, start)):
+                        try:
+                            image = word_to_str(g_odd(ctx, word, u))
+                        except ValueError as exc:
+                            image = f"! {exc}"
+                        yield f"g_odd {u} {word_to_str(word)} > {image}"
+
+
+def test_context_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(2, 10):
+        for t in enumerate_free_trees(n):
+            for host_tree in (t, leaf_rooted(t)):
+                for bp in bare_paths(host_tree):
+                    ctx = build_context(host_tree, *bp.endpoints)
+                    count += 1
+                    digest.update(f"{sorted(host_tree.edges)}\n".encode())
+                    for line in _context_lines(ctx):
+                        digest.update(f"{line}\n".encode())
+    assert count == CONTEXT_COUNT
+    assert digest.hexdigest() == CONTEXT_DIGEST
