@@ -73,20 +73,19 @@ def from_pruefer(seq: tuple[int, ...] | list[int], n: int) -> Tree:
 
 
 def to_pruefer(t: Tree) -> tuple[int, ...]:
-    """Pruefer sequence of a labeled tree (inverse of from_pruefer)."""
+    """Pruefer sequence of a labeled tree (inverse of from_pruefer).  The
+    leaf removed is never n-1, and its one neighbor left is its parent
+    in the tree rooted at n-1."""
     if t.n < 2:
         raise ValueError("Pruefer correspondence needs n >= 2")
     import heapq
 
-    degree = [t.degree(v) for v in range(t.n)]
-    neighbors = {v: set(t.adjacency[v]) for v in range(t.n)}
-    leaves = [v for v in range(t.n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    parents = _rooted(t, t.n - 1)[1]
+    degree = [len(nbrs) for nbrs in t.adjacency]
+    leaves = list(t.leaves())  # ascending, so already a heap
     out = []
     for _ in range(t.n - 2):
-        leaf = heapq.heappop(leaves)
-        parent = neighbors[leaf].pop()
-        neighbors[parent].discard(leaf)
+        parent = parents[heapq.heappop(leaves)]
         out.append(parent)
         degree[parent] -= 1
         if degree[parent] == 1:

@@ -1,6 +1,7 @@
 """Tree rewiring moves: the end-to-end path move (kc_transform) that shifts
 one endpoint's branches to the other, the leaf delete-clone move
-(dc_transform), bare-path enumeration, and distance-valency.
+(dc_transform), bare-path enumeration, and distance-valency.  ``_bare_path``
+is the one bare-path check, for ``kc_transform`` and ``words.build_context``.
 """
 
 from __future__ import annotations
@@ -44,14 +45,14 @@ class Valency:
     r: int
 
 
-def _path_if_bare(t: Tree, x: int, y: int) -> tuple[int, ...] | None:
-    if x == y:
-        return None
-    path = tree_path(t, x, y)
-    for v in path[1:-1]:
-        if t.degree(v) != 2:
-            return None
-    return path
+def _bare_path(t: Tree, x: int, y: int) -> tuple[int, ...]:
+    """The bare path from x to y; ValueError when x == y, when tree_path
+    finds an end out of range, or when an interior vertex is not of degree 2."""
+    if x != y:
+        path = tree_path(t, x, y)
+        if all(len(t.adjacency[v]) == 2 for v in path[1:-1]):
+            return path
+    raise ValueError(f"({x}, {y}) does not span a bare path")
 
 
 def bare_paths(t: Tree) -> list[BarePath]:
@@ -78,10 +79,7 @@ def kc_transform(t: Tree, x: int, y: int) -> Tree:
     """Move every neighbor of y except its path-neighbor z over to x, along
     the bare path from x to y.  The result is again a tree on n vertices;
     with y a leaf the tree is unchanged."""
-    path = _path_if_bare(t, x, y)
-    if path is None:
-        raise ValueError(f"({x}, {y}) does not span a bare path")
-    return _kc_along(t, path)
+    return _kc_along(t, _bare_path(t, x, y))
 
 
 def _kc_along(t: Tree, path: tuple[int, ...]) -> Tree:
@@ -110,8 +108,7 @@ def valency(t: Tree, v: int, ell: int) -> Valency:
     """r(v): the number of vertices at distance exactly ell from v."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    dist = distances_from(t, v)
-    return Valency(vertex=v, r=sum(1 for d in dist if d == ell))
+    return Valency(vertex=v, r=distances_from(t, v).count(ell))
 
 
 def dc_transform(t: Tree, v: int, w: int) -> Tree:

@@ -4,11 +4,11 @@ and a canonical form that is a complete isomorphism invariant.
 Vertices are 0..n-1.  Every value here is immutable after construction and
 safe to share between concurrent workers.
 
-Every rooted traversal in the package goes through ``_rooted`` (the BFS
-order from a root, parents first, and each vertex's parent) or ``_branch``
-(one side of an edge, built on it): the connectivity check, distances,
-paths, canonical codes, the leaf-rooted labels, the walk and path kernels,
-the word contexts' end components and the delete-clone reduction.
+Every rooted traversal in the package goes through ``_rooted`` (the BFS order
+from a root, parents first, and each vertex's parent) or ``_branch`` (one
+side of an edge, built on it): the connectivity check, distances, paths,
+canonical codes, Pruefer codes, the leaf-rooted labels, the walk and path
+kernels, the word contexts' end components and the delete-clone reduction.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ class Tree:
 
     Construction validates the invariants: exactly n-1 edges over
     {0..n-1}, none repeated in either orientation, no self-loops,
-    connected.  Edges are normalized to (u, v) tuples with u < v.
+    connected.  Edges are normalized to (u, v) tuples with u < v.  The
+    read-only attribute ``adjacency`` lists each vertex's neighbors,
+    ascending; it is not a field, so it takes no part in ==, hash or repr.
     """
 
     n: int
@@ -73,25 +75,19 @@ class Tree:
         for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(
-            self, "_adj", tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        )
+        object.__setattr__(self, "adjacency", tuple(tuple(sorted(nbrs)) for nbrs in adj))
         if len(_rooted(self, 0)[0]) != self.n:
             raise ValueError("edge set is not connected")
 
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self._adj  # type: ignore[attr-defined]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return self._adj[v]  # type: ignore[attr-defined]
+        return self.adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.degree(v) == 1)
+        return tuple(v for v, nbrs in enumerate(self.adjacency) if len(nbrs) == 1)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -149,20 +145,15 @@ def distances_from(t: Tree, source: int) -> list[int]:
 
 def distance(t: Tree, u: int, v: int) -> int:
     """Length of the unique u-v path."""
-    t._check_vertex(u)
+    dist = distances_from(t, u)
     t._check_vertex(v)
-    if u == v:
-        return 0
-    return distances_from(t, u)[v]
+    return dist[v]
 
 
 def diameter(t: Tree) -> int:
     """Maximum pairwise distance (double-sweep BFS)."""
-    if t.n == 1:
-        return 0
     d0 = distances_from(t, 0)
-    far = max(range(t.n), key=lambda v: d0[v])
-    return max(distances_from(t, far))
+    return max(distances_from(t, d0.index(max(d0))))
 
 
 def tree_path(t: Tree, u: int, v: int) -> tuple[int, ...]:

@@ -89,7 +89,7 @@ from enum import Enum
 from itertools import groupby
 from operator import itemgetter
 
-from .transforms import _kc_along, _path_if_bare
+from .transforms import _bare_path, _kc_along
 from .trees import Tree, _branch
 
 __all__ = [
@@ -235,10 +235,7 @@ class PathContext:
 def build_context(t: Tree, x: int, y: int) -> PathContext:
     """The context of the bare path from x to y; ValueError when x and y do
     not span one."""
-    path = _path_if_bare(t, x, y)
-    if path is None:
-        raise ValueError(f"({x}, {y}) does not span a bare path")
-    return PathContext(t, path)
+    return PathContext(t, _bare_path(t, x, y))
 
 
 def word_to_str(word: Word) -> str:
@@ -344,15 +341,14 @@ def classify(word: Word) -> WordType:
 
 
 # A word's first and last non-c kinds as one string ("" while it has
-# none), marked "+" once both kinds have occurred, the same after one more
-# letter of each kind, and the type they name.  "bb" is thus a word with a
-# b-letter and no a-letter: a B-side word that touches B.  Keys are strings
+# none), and the type they name.  "+" marks only "bb+", a word from b to b
+# with an a-letter, so "bb" is a word with a b-letter and no a-letter: a
+# B-side word that touches B, as _grow_words reads it.  Keys are strings
 # because Enum members hash in Python.
 _KINDS_AFTER = {
     "": {"a": "aa", "b": "bb", "c": ""},
     "aa": {"a": "aa", "b": "ab", "c": "aa"},
-    "ab": {"a": "aa+", "b": "ab", "c": "ab"},
-    "aa+": {"a": "aa+", "b": "ab", "c": "aa+"},
+    "ab": {"a": "aa", "b": "ab", "c": "ab"},
     "bb": {"a": "ba", "b": "bb", "c": "bb"},
     "ba": {"a": "ba", "b": "bb+", "c": "ba"},
     "bb+": {"a": "ba", "b": "bb+", "c": "bb+"},
@@ -360,7 +356,6 @@ _KINDS_AFTER = {
 _TYPE_OF_KINDS = {
     "": WordType.T0,
     "aa": WordType.T11,
-    "aa+": WordType.T11,
     "bb": WordType.T12,
     "bb+": WordType.T12,
     "ab": WordType.T21,
@@ -414,6 +409,8 @@ def words_of(
     One DFS per start over the host's adjacency, which skips the letters
     outside the part."""
     _require_host(host)
+    if part not in _PART_KINDS:
+        raise ValueError(f"part must be 'A', 'B', 'P' or None, got {part!r}")
     for v in (start, end):
         if v is not None:
             ctx.tree._check_vertex(v)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -75,6 +76,38 @@ class TestPruefer:
     @given(trees(min_n=2, max_n=9))
     def test_roundtrip(self, t):
         assert from_pruefer(to_pruefer(t), t.n) == t
+
+    @staticmethod
+    def neighbour_set_oracle(t):
+        """Pruefer code by removing the smallest leaf and reading its one
+        neighbour off a neighbour-set table, which is updated as leaves go."""
+        degree = [len(nbrs) for nbrs in t.adjacency]
+        neighbors = {v: set(t.adjacency[v]) for v in range(t.n)}
+        out = []
+        for _ in range(t.n - 2):
+            leaf = min(v for v in range(t.n) if degree[v] == 1)
+            (parent,) = neighbors[leaf]
+            neighbors[parent].discard(leaf)
+            degree[leaf] = 0
+            degree[parent] -= 1
+            out.append(parent)
+        return tuple(out)
+
+    def test_matches_neighbour_set_oracle_on_every_small_tree(self):
+        labeled = 0
+        for n in range(2, 8):
+            for t in all_labeled_trees(n):
+                assert to_pruefer(t) == self.neighbour_set_oracle(t), t
+                labeled += 1
+        assert labeled == 18248
+
+    def test_matches_neighbour_set_oracle_on_seeded_trees(self):
+        rng = random.Random(28)
+        for _ in range(500):
+            n = rng.randint(2, 200)
+            seq = tuple(rng.randrange(n) for _ in range(n - 2))
+            t = from_pruefer(seq, n)
+            assert to_pruefer(t) == self.neighbour_set_oracle(t) == seq
 
 
 class TestFreeTreeEnumeration:

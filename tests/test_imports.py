@@ -228,3 +228,36 @@ class TestTracerTargets:
         assert rows[("verify.verify_injections", "cli.main")] == 1
         assert rows[("words.f_map", "verify.verify_injections")] > 0
         assert rows[("words.build_context", "verify.verify_injections")] > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--kind", "closed", "--len", "4", "TREE"],
+            ["count", "--kind", "all", "--len", "4", "TREE"],
+            ["count", "--kind", "paths", "--len", "4", "TREE"],
+            ["count", "--kind", "wiener", "TREE"],
+            ["counterexample", "--c", "3/5", "--k", "20", "--len", "10"],
+            ["dc-reduce", "--len", "4", "--tree", "TREE"],
+            ["dc-reduce", "--len", "5", "--tree", "TREE"],
+            ["verify", "closed-extremal", "--max-n", "6", "--max-len", "4"],
+            ["verify", "kc-monotone", "--max-n", "6", "--max-len", "4", "--kind", "both"],
+            ["verify", "path-extremal", "--max-n", "6", "--len", "4"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv if not a.startswith("-") and a not in ("TREE", "verify")),
+    )
+    def test_traced_cli_matches_untraced(self, argv, tree_file, tmp_path):
+        # every command the benchmark runs, traced: same stdout, exit 0,
+        # and the spans open at the CLI entry point
+        argv = [tree_file if a == "TREE" else a for a in argv]
+        spans = tmp_path / "spans.json"
+        traced = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "perfbench", "spantrace.py"), str(spans), *argv],
+            capture_output=True, env=_env(),
+        )
+        plain = subprocess.run(
+            [sys.executable, "-m", "treewalks.cli", *argv], capture_output=True, env=_env(),
+        )
+        assert traced.returncode == plain.returncode == 0
+        assert traced.stdout == plain.stdout != b""
+        names = {name for name, _parent, _calls, _, _ in json.loads(spans.read_text())["rows"]}
+        assert "cli.main" in names

@@ -6,10 +6,12 @@ from treewalks.generate import (
     all_labeled_trees,
     broom,
     enumerate_free_trees,
+    leaf_rooted,
     path_tree,
     star_tree,
 )
 from treewalks.transforms import (
+    _kc_along,
     bare_paths,
     dc_transform,
     kc_moves,
@@ -18,6 +20,7 @@ from treewalks.transforms import (
 )
 from treewalks.trees import canonical_code, distance, is_isomorphic, tree, tree_path
 from treewalks.walks import closed_walk_profile, count_closed_walks, count_ell_paths, walk_profile
+from treewalks.words import build_context
 
 from conftest import trees
 
@@ -91,6 +94,45 @@ class TestKcTransform:
                 for bp in bare_paths(t):
                     x, y = bp.endpoints
                     assert is_isomorphic(kc_transform(t, x, y), kc_transform(t, y, x))
+
+    @staticmethod
+    def bare_path_oracle(t, x, y):
+        """("path", vertices) when x and y span a bare path, otherwise
+        ("error", message): x == y is rejected before tree_path checks the
+        range, and a path with an interior vertex of degree other than two
+        is not bare."""
+        if x == y:
+            return "error", f"({x}, {y}) does not span a bare path"
+        try:
+            path = tree_path(t, x, y)
+        except ValueError as exc:
+            return "error", str(exc)
+        if any(t.degree(v) != 2 for v in path[1:-1]):
+            return "error", f"({x}, {y}) does not span a bare path"
+        return "path", path
+
+    def test_kc_transform_and_build_context_match_bare_path_oracle(self):
+        # every ordered pair, x = y included, and pairs with an end out of
+        # range; each call gives the oracle's path or its exact message
+        cases = 0
+        for n in range(1, 8):
+            for t in map(leaf_rooted, enumerate_free_trees(n)):
+                outside = (-1, n, n + 5)
+                pairs = [(x, y) for x in range(n) for y in range(n)]
+                pairs += [(x, y) for x in outside for y in (*outside, 0)]
+                pairs += [(0, y) for y in outside]
+                for x, y in pairs:
+                    kind, expect = self.bare_path_oracle(t, x, y)
+                    cases += 1
+                    if kind == "path":
+                        assert kc_transform(t, x, y) == _kc_along(t, expect)
+                        assert build_context(t, x, y).path == expect
+                        continue
+                    for build in (kc_transform, build_context):
+                        with pytest.raises(ValueError) as err:
+                            build(t, x, y)
+                        assert str(err.value) == expect, (build.__name__, t, x, y)
+        assert cases == 1251
 
     @given(trees(min_n=2, max_n=8), st.data())
     @settings(deadline=None)

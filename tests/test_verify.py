@@ -324,6 +324,13 @@ class TestDcReduce:
         with pytest.raises(ValueError, match="ell >= 3"):
             dc_reduce_trace(from_pruefer(PRUEFER_36, 36), 2)
 
+    def test_a_reduction_that_never_settles_raises(self, monkeypatch):
+        # a valency phase that always "moves" to a fresh copy of its tree
+        # never reaches a tree with no move, so the step guard stops it
+        monkeypatch.setattr(verify, "_improve_valency", lambda t, ell, dist, r: tree(t.n, t.edges))
+        with pytest.raises(RuntimeError, match="^delete-clone reduction did not converge$"):
+            dc_reduce_trace(path_tree(5), 3)
+
     def test_trace_digest(self):
         # sha256 over the traces of 300 seeded random trees, n = 5..30 and
         # ell = 3..8 (2,820 moves); in two of them (seeds 150 and 173) the
@@ -748,6 +755,14 @@ def test_broom_profile_with_one_feasible_leg():
     profile = broom_profile(5, 6)
     assert profile.rows == ((1, 0),)
     assert (profile.argmax_p, profile.best) == (1, 0)
+
+
+def test_broom_profile_argmax_far_from_the_stationary_point_raises(monkeypatch):
+    # values that fall with p put the argmax at the smallest leg count,
+    # more than 1 below the stationary point 1/4 + sqrt(1/16 + 39/4)
+    monkeypatch.setattr(verify, "broom_paths_exact", lambda n, ell, p: -p)
+    with pytest.raises(ValueError, match=r"^argmax 1 drifted from stationary point 3\.38"):
+        broom_profile(40, 6)
 
 
 def test_whole_order_sweeps_past_twelve():

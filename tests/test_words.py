@@ -1,5 +1,6 @@
 import hashlib
 from functools import partial
+from itertools import product
 
 import networkx as nx
 import pytest
@@ -444,6 +445,20 @@ class TestGrammar:
         assert classify(parse_word("a1 c1 b1 b1 c1 a1")) is WordType.T11
         assert classify(parse_word("b1 c1 a1")) is WordType.T22
 
+    def test_classify_matches_first_and_last_kinds_on_every_short_word(self):
+        # the definition: T0 without an a- or b-letter, otherwise the type
+        # named by the kinds of the first and last of those letters
+        named = {("a", "a"): WordType.T11, ("b", "b"): WordType.T12, ("a", "b"): WordType.T21, ("b", "a"): WordType.T22}
+        letters = [("a", 1), ("b", 1), ("c", 1)]
+        count = 0
+        for length in range(1, 8):
+            for word in product(letters, repeat=length):
+                ends = [kind for kind, _ in word if kind != "c"]
+                expect = named[ends[0], ends[-1]] if ends else WordType.T0
+                assert classify(word) is expect, word_to_str(word)
+                count += 1
+        assert count == 3279
+
     def test_parity_rule_equivalent(self):
         # separating-run count equals non-C block count minus one, so the
         # first/last-kind rule matches the parity rule on host-T words
@@ -526,6 +541,11 @@ class TestSplitCBlock:
         left, right = split_c_run(k2, parse_word("c1 c1 c1 c2"), 0)
         assert word_to_str(left) == "c1 c1"
         assert word_to_str(right) == "c1 c2"
+
+    def test_run_that_does_not_walk_from_the_end_raises(self):
+        # c2 joins p_1 and p_2, so it cannot be the first step from p_0
+        with pytest.raises(ValueError, match=r"^not a path-walk word from p_0$"):
+            words._c_cut(parse_word("c2"), 0, 1, 3, 0)
 
     def test_partition_property(self, k2, k3):
         for ctx in (k2, k3):
@@ -658,6 +678,8 @@ BAD_WORDS = [
     ("words_of start past n, len 2", "k1", lambda ctx: words_of(ctx, HOST_T, 2, start=99), r"^vertex 99 out of range for n=4$"),
     ("words_of negative start", "k1", lambda ctx: words_of(ctx, HOST_T2, 2, start=-1), r"^vertex -1 out of range for n=4$"),
     ("words_of end past n", "k1", lambda ctx: words_of(ctx, HOST_T, 0, end=99), r"^vertex 99 out of range for n=4$"),
+    ("words_of unknown part", "k1", lambda ctx: words_of(ctx, HOST_T, 2, part="X"), r"^part must be 'A', 'B', 'P' or None, got 'X'$"),
+    ("words_of lowercase part", "k1", lambda ctx: words_of(ctx, HOST_T, 2, part="a"), r"^part must be 'A', 'B', 'P' or None, got 'a'$"),
 ]
 
 
