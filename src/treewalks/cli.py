@@ -235,11 +235,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _payload(result, **extra) -> str:
     """A library result record as one JSON line with sorted keys: its own
-    fields, ``ell`` named ``len`` as on the command line, then ``extra``."""
+    fields (its ``__slots__``), ``ell`` named ``len`` as on the command
+    line, then ``extra``."""
     import json
-    from dataclasses import asdict
 
-    payload = asdict(result)
+    payload = {name: getattr(result, name) for name in result.__slots__}
     payload["len"] = payload.pop("ell")
     payload.update(extra)
     return json.dumps(payload, sort_keys=True) + "\n"

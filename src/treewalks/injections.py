@@ -12,26 +12,36 @@ pass when every test holds and the images are as many as the words.
 test, into that check record.  The maps are called by their names in this
 module, so a test that replaces one of them here replaces it in the sweep.
 
-The word sets come from what ``words._grow_words`` builds once per context
-and host: per length, the table of every word with its record (walks,
-type, f-image), and the B-side words with a b-letter from each start
-vertex.  So the f and h checks walk one table, with no set or lookup per
-domain; the g maps and the lemmas read their domains and counts from the
-per-start lists; and every image test reads the image's walks and type
-from the table of its host and length, with no trace.  Each word of the two f domains (the closed
-words, and the T0/T11/T12 words) is mapped and its image tested once: a
-closed T0/T11/T12 word is in both, and its closed test is its general test
-plus the closedness of its image's T' walks.  The h check takes the f
-verdict for an h-image that is the tested f-image itself and tests any
-other.
+The word sets come from what ``words._grow_words`` builds once per
+context, for both hosts in one growth: per host and length, the table of
+every word with its record (walks, type, f-image), and the B-side words
+with a b-letter from each start vertex.  So the f and h checks walk one
+table, with no set or lookup per domain; the g maps and the lemmas read
+their domains and counts from the per-start lists; and every image test
+reads the image's walks and type from the table of its host and length,
+with no trace.  Each word of the two f domains (the closed words, and the
+T0/T11/T12 words) is mapped and its image tested once: a closed T0/T11/T12
+word is in both, and its closed test is its general test plus the
+closedness of its image's T' walks.  The h check takes the f verdict for
+an h-image that is the tested f-image itself and tests any other.
+
+``injection_rows`` pauses the cyclic garbage collector while a tree's
+contexts live and restores the caller's setting when it returns or
+raises.  A context allocates tens of thousands of word records, which
+would otherwise set off collections that find nothing: the word tables
+hold no reference cycles, so reference counting frees them with their
+context.  ``tests/test_verify.py::TestCollectorPause`` checks that a sweep
+run with the collector off leaves no cyclic garbage and that the setting
+comes back either way.
 """
 
 from __future__ import annotations
 
+import gc
 from functools import partial
 
 from .transforms import bare_paths
-from .verify import Check
+from .verify import Check, _path_prefix
 from .words import (
     HOST_T,
     HOST_T2,
@@ -53,33 +63,47 @@ __all__ = ["injection_rows"]
 def injection_rows(args) -> list:
     """The checks of one tree: every bare path's context, every length up to
     max_len, the f, g and h maps and the lemmas.  ``args`` is one picklable
-    job tuple (tree, index among its order, max_len)."""
+    job tuple (tree, index among its order, max_len).  The cyclic garbage
+    collector is paused while they run and left as the caller had it."""
     t, index, max_len = args
-    rows = []
-    for bp in bare_paths(t):
-        rows.extend(_path_rows(t, index, bp, max_len))
-    return rows
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows = []
+        for bp in bare_paths(t):
+            rows.extend(_path_rows(t, index, bp, max_len))
+        return rows
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _path_rows(t, index, bp, max_len):
     """The checks of one bare path at every length.  Its context and word
     tables are freed when this returns, before the next path's are grown."""
     ctx = build_context(t, *bp.endpoints)
-    t_levels = _grow_words(ctx, HOST_T, max_len)
-    t2_levels = _grow_words(ctx, HOST_T2, max_len)
+    levels = _grow_words(ctx, HOST_T, max_len)
+    prefix = _path_prefix(t.n, index, bp.vertices)
     rows = []
     for ell in range(1, max_len + 1):
         # check(name, lhs, rhs, relation, passed) at this path and length
-        check = partial(Check, t.n, ell, tree=index, path=bp.vertices)
-        table, b_words = t_levels[ell]
-        t2_table, t2_b_words = t2_levels[ell]
+        check = partial(_check, t.n, ell, index, bp.vertices, f"{prefix}{ell:02d} ")
+        table, b_words, t2_table, t2_b_words = levels[ell]
         # the B-side T-words from p0 that touch B, shared by the g maps and
         # the lemmas
         b_p0 = b_words.get(ctx.p0, [])
         rows.extend(_check_f_h(ctx, check, table, t2_table))
-        rows.extend(_check_g(ctx, check, ell, b_p0, t_levels, t2_table))
-        rows.extend(_check_lemmas(ctx, check, ell, b_p0, t_levels, t2_b_words))
+        rows.extend(_check_g(ctx, check, ell, b_p0, levels, t2_table))
+        rows.extend(_check_lemmas(ctx, check, ell, b_p0, levels, t2_b_words))
     return rows
+
+
+def _check(n, ell, index, path, lead, name, lhs, rhs, relation, passed):
+    """A check of one tree, path and length, its instance set from the lead
+    that ``_path_rows`` renders once per path and length."""
+    row = Check(n, ell, name, lhs, rhs, relation, passed, index, path)
+    row._instance = lead + name
+    return row
 
 
 def _injective(check, name, images, all_pass):
@@ -93,15 +117,14 @@ def _injective(check, name, images, all_pass):
 _FAILS, _PASSES, _PASSES_CLOSED = (False, False), (True, False), (True, True)
 
 
-def _image_ok(t2_table, word, wtype, image):
+def _image_ok(t2_table, wtype, image):
     """The tests of an f- or h-image of a T-word of type wtype, given the
     T'-word table of the word's length: the image has the word's length
-    and type and decodes in T'.  Returns whether it passes, and whether it
-    passes with a closed T' walk, the fourth test, which the f-closed domain
-    adds.  The table holds every T'-word of its length, so an image it
-    lacks decodes to nothing."""
-    if len(image) != len(word):
-        return _FAILS
+    and type and decodes in T'.  The table holds every T'-word of that
+    length and no other word, so finding the image there tests its length
+    and that it decodes.  Returns whether it passes, and whether it passes
+    with a closed T' walk, the fourth test, which the f-closed domain
+    adds."""
     record = t2_table.get(image)
     if record is None or record[1] is not wtype:
         return _FAILS
@@ -120,10 +143,9 @@ def _check_f_h(ctx, check, table, t2_table):
         first = walks[0]
         closed = first[0] == first[-1]  # see words._is_closed
         is_open = wtype is not _T21 and wtype is not _T22
-        f_image, f_ok = None, False
         if is_open or closed:
             f_image = f_map(ctx, word, closed)
-            f_ok, f_ok_closed = _image_ok(t2_table, word, wtype, f_image)
+            f_ok, f_ok_closed = _image_ok(t2_table, wtype, f_image)
             if is_open:
                 open_images.append(f_image)
                 if not f_ok:
@@ -132,9 +154,11 @@ def _check_f_h(ctx, check, table, t2_table):
                 closed_images.append(f_image)
                 if not f_ok_closed:
                     closed_failed += 1
+        else:
+            f_image = f_ok = None
         image = h_map(ctx, word)
         h_images.append(image)
-        if not (f_ok if image is f_image else _image_ok(t2_table, word, wtype, image)[0]):
+        if not (f_ok if image is f_image else _image_ok(t2_table, wtype, image)[0]):
             h_failed += 1
     rows = [
         _injective(check, "f-closed-inject", closed_images, not closed_failed),
@@ -170,7 +194,7 @@ def _check_g(ctx, check, ell, b_p0, t_levels, t2_table):
         rows.append(_injective(check, "g-even-involution", images, all(tests)))
     elif ctx.b_neighbors_of_pk() and ell >= 2:
         u = min(ctx.b_neighbors_of_pk())
-        shorter, shorter_b_words = t_levels[ell - 1]
+        shorter, shorter_b_words = t_levels[ell - 1][:2]
         odd = shorter_b_words.get(ctx.path[1], [])
         images = [g_odd(ctx, w, u) for w in odd]
         tests = [

@@ -6,8 +6,6 @@ is the one bare-path check, for ``kc_transform`` and ``words.build_context``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .trees import CanonicalCode, Tree, canonical_code, distances_from, tree, tree_path
 
 __all__ = [
@@ -21,12 +19,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class BarePath:
     """A path whose interior vertices all have degree two in the host tree.
     Single edges qualify vacuously."""
 
-    vertices: tuple[int, ...]
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: tuple[int, ...]) -> None:
+        self.vertices = vertices
 
     @property
     def k(self) -> int:
@@ -37,21 +37,21 @@ class BarePath:
         return self.vertices[0], self.vertices[-1]
 
 
-@dataclass(frozen=True)
 class Valency:
     """Number of vertices at one fixed distance from a vertex."""
 
-    vertex: int
-    r: int
+    __slots__ = ("vertex", "r")
+
+    def __init__(self, vertex: int, r: int) -> None:
+        self.vertex, self.r = vertex, r
 
 
 def _bare_path(t: Tree, x: int, y: int) -> tuple[int, ...]:
-    """The bare path from x to y; ValueError when x == y, when tree_path
-    finds an end out of range, or when an interior vertex is not of degree 2."""
-    if x != y:
-        path = tree_path(t, x, y)
-        if all(len(t.adjacency[v]) == 2 for v in path[1:-1]):
-            return path
+    """The bare path from x to y; ValueError when tree_path finds an end out
+    of range, then when x == y or an interior vertex is not of degree 2."""
+    path = tree_path(t, x, y)
+    if x != y and all(len(t.adjacency[v]) == 2 for v in path[1:-1]):
+        return path
     raise ValueError(f"({x}, {y}) does not span a bare path")
 
 

@@ -13,7 +13,6 @@ kernels, the word contexts' end components and the delete-clone reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -38,7 +37,6 @@ CanonicalCode = str
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class Tree:
     """A tree given by its vertex count and edge set.
 
@@ -46,38 +44,56 @@ class Tree:
     {0..n-1}, none repeated in either orientation, no self-loops,
     connected.  Edges are normalized to (u, v) tuples with u < v.  The
     read-only attribute ``adjacency`` lists each vertex's neighbors,
-    ascending; it is not a field, so it takes no part in ==, hash or repr.
+    ascending.  Trees compare and hash by (n, edges); no attribute can be
+    set after construction.
     """
 
-    n: int
-    edges: frozenset
+    __slots__ = ("n", "edges", "adjacency")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
+    def __init__(self, n: int, edges) -> None:
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
         norm = set()
-        for e in self.edges:
+        for e in edges:
             u, v = e
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {e!r} out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {e!r} out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             norm.add((u, v) if u < v else (v, u))
-        if len(norm) != len(self.edges):
-            raise ValueError(f"repeated edge: {len(self.edges)} edges given, {len(norm)} distinct")
-        if len(norm) != self.n - 1:
+        if len(norm) != len(edges):
+            raise ValueError(f"repeated edge: {len(edges)} edges given, {len(norm)} distinct")
+        if len(norm) != n - 1:
             raise ValueError(
-                f"a tree on {self.n} vertices needs exactly {self.n - 1} "
+                f"a tree on {n} vertices needs exactly {n - 1} "
                 f"edges, got {len(norm)}"
             )
-        object.__setattr__(self, "edges", frozenset(norm))
-        adj: list[list[int]] = [[] for _ in range(self.n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(nbrs)) for nbrs in adj))
-        if len(_rooted(self, 0)[0]) != self.n:
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "edges", frozenset(norm))
+        init(self, "adjacency", tuple(tuple(sorted(nbrs)) for nbrs in adj))
+        if len(_rooted(self, 0)[0]) != n:
             raise ValueError("edge set is not connected")
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set {name!r}: a Tree is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Tree, (self.n, self.edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)

@@ -30,7 +30,6 @@ none of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 
 from .transforms import _kc_along, bare_paths, dc_transform, valency
@@ -59,7 +58,6 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
 class Check:
     """One checked relation ``lhs relation rhs`` and whether it held.
 
@@ -73,22 +71,41 @@ class Check:
         n=NN t=TTT path=v0-v1-...-vk len=LL name  (per-tree checks)
 
     with zero-padded n, t and ell; reports sort and print by that string,
-    which each record renders once (kc-monotone sets it as it builds the
-    row, from a prefix rendered once per path).  ``t`` has 3 digits up to
-    n = 12 and past it as many as the largest index of its order needs
-    (``_INDEX_DIGITS``), so one order's strings sort in index order.
+    which each record renders once (the per-tree sweeps set it as they
+    build the row, from ``_path_prefix`` rendered once per path).  ``t``
+    has 3 digits up to n = 12 and past it as many as the largest index of
+    its order needs (``_INDEX_DIGITS``), so one order's strings sort in
+    index order.  Checks compare by every field but the rendered string.
     """
 
-    n: int
-    ell: int
-    name: str
-    lhs: object
-    rhs: object
-    relation: str
-    passed: bool
-    tree: int | None = None
-    path: tuple[int, ...] | None = None
-    _instance: str | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("n", "ell", "name", "lhs", "rhs", "relation", "passed", "tree", "path", "_instance")
+
+    def __init__(
+        self,
+        n: int,
+        ell: int,
+        name: str,
+        lhs,
+        rhs,
+        relation: str,
+        passed: bool,
+        tree: int | None = None,
+        path: tuple[int, ...] | None = None,
+    ) -> None:
+        self.n, self.ell, self.name = n, ell, name
+        self.lhs, self.rhs, self.relation, self.passed = lhs, rhs, relation, passed
+        self.tree, self.path = tree, path
+        self._instance = None
+
+    def _fields(self) -> tuple:
+        return (self.n, self.ell, self.name, self.lhs, self.rhs, self.relation, self.passed, self.tree, self.path)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
 
     @property
     def instance(self) -> str:
@@ -97,9 +114,7 @@ class Check:
             if self.tree is None:
                 text = f"n={self.n:02d} len={self.ell:02d} {self.name}"
             else:
-                pid = "-".join(map(str, self.path))
-                index = _tree_index(self.n, self.tree)
-                text = f"n={self.n:02d} t={index} path={pid} len={self.ell:02d} {self.name}"
+                text = f"{_path_prefix(self.n, self.tree, self.path)}{self.ell:02d} {self.name}"
             self._instance = text
         return text
 
@@ -115,20 +130,26 @@ def _tree_index(n: int, index: int) -> str:
     return str(index).zfill(_INDEX_DIGITS.get(n, 3))
 
 
-@dataclass
+def _path_prefix(n: int, index: int, path: tuple[int, ...]) -> str:
+    """A per-tree check's instance up to its length, ``n=NN t=TTT
+    path=v0-v1-...-vk len=``; the per-tree sweeps render it once per path."""
+    return f"n={n:02d} t={_tree_index(n, index)} path={'-'.join(map(str, path))} len="
+
+
 class VerificationReport:
     """The scope of a sweep, its collected checks and, for the whole-order
     sweeps, the extremal trees, with the count and the failed ones of every
     check the sweep ran (or of ``checks``, for a report built from them).
     A sweep run with its own consumer leaves ``checks`` empty."""
 
-    scope: dict
-    checks: list = field(default_factory=list)
-    extremal_witnesses: dict = field(default_factory=dict)
-    count: int = field(default=0, init=False)
-    violations: list = field(default_factory=list, init=False)
+    __slots__ = ("scope", "checks", "extremal_witnesses", "count", "violations")
 
-    def __post_init__(self) -> None:
+    def __init__(self, scope: dict, checks: list | None = None, extremal_witnesses: dict | None = None) -> None:
+        self.scope = scope
+        self.checks = [] if checks is None else checks
+        self.extremal_witnesses = {} if extremal_witnesses is None else extremal_witnesses
+        self.count = 0
+        self.violations = []
         self._record(self.checks)
 
     def _record(self, block: list) -> None:
@@ -370,12 +391,10 @@ def _kc_monotone_rows(t: Tree, index: int, base: dict, table: dict, max_len: int
             moved = base
         else:
             moved = table[canonical_code(_kc_along(t, path))]
-        moves.append(("-".join(map(str, path)), path, moved))
+        moves.append((_path_prefix(n, index, path), path, moved))
     moves.sort(key=itemgetter(0))
-    head = f"n={n:02d} t={_tree_index(n, index)} path="
     rows = []
-    for pid, path, moved in moves:
-        prefix = f"{head}{pid} len="
+    for prefix, path, moved in moves:
         for ell in range(1, max_len + 1):
             lead = f"{prefix}{ell:02d} "
             for kind in kinds:
@@ -452,21 +471,24 @@ def verify_injections(max_n: int, max_len: int, workers: int = 1, emit=None) -> 
 # The distance-sum counterexample
 
 
-@dataclass(frozen=True)
 class CounterexampleResult:
     """Exact comparison of a broom against the balanced double broom of the
     same order: distance sums, closed-walk counts at twice the length, and
-    total walk counts at the length."""
+    total walk counts at the length.  ``__slots__`` names the fields."""
 
-    c: Fraction
-    k: int
-    ell: int
-    wiener_broom: int
-    wiener_double: int
-    closed_broom: int
-    closed_double: int
-    total_broom: int
-    total_double: int
+    __slots__ = (
+        "c", "k", "ell", "wiener_broom", "wiener_double",
+        "closed_broom", "closed_double", "total_broom", "total_double",
+    )
+
+    def __init__(
+        self, c: Fraction, k: int, ell: int, wiener_broom: int, wiener_double: int,
+        closed_broom: int, closed_double: int, total_broom: int, total_double: int,
+    ) -> None:
+        self.c, self.k, self.ell = c, k, ell
+        self.wiener_broom, self.wiener_double = wiener_broom, wiener_double
+        self.closed_broom, self.closed_double = closed_broom, closed_double
+        self.total_broom, self.total_double = total_broom, total_double
 
     @property
     def verdict(self) -> bool:
@@ -576,14 +598,16 @@ def broom_paths_exact(n: int, ell: int, p: int) -> int:
     return (total * total - sum(s * s for s in sizes)) // 2
 
 
-@dataclass(frozen=True)
 class BroomProfile:
-    n: int
-    ell: int
-    rows: tuple  # (p, exact path count)
-    argmax_p: int
-    best: int
-    p_opt: float
+    """The exact path counts of the balanced p-brooms of order n at length
+    ell, as (p, count) rows, and the best p.  ``__slots__`` names the
+    fields."""
+
+    __slots__ = ("n", "ell", "rows", "argmax_p", "best", "p_opt")
+
+    def __init__(self, n: int, ell: int, rows: tuple, argmax_p: int, best: int, p_opt: float) -> None:
+        self.n, self.ell, self.rows = n, ell, rows
+        self.argmax_p, self.best, self.p_opt = argmax_p, best, p_opt
 
 
 def _stationary_sign(r: Fraction, m) -> int:

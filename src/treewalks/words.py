@@ -63,23 +63,31 @@ that decodes in a host gets one record, [walks, type, f-image], in
 ctx._words[host][len(word)].  Every lookup reads that one table:
 decode_word the walks, f_map and h_map the walks (that the word decodes),
 the type and the f-image, which they store in the record's last slot on
-first use (host T only), the g maps the walk they reflect (_walk_from),
-and the injection sweep's image test the walks and type of a
-T'-word.  _grow_words, which word_sets runs, grows all walks of a host one
-letter per level and inserts each word's record into its table once: the
-walks in start-vertex order, and the type from the first and last non-c
-kinds each walk carries.  A word it has not seen is traced and classified
-on demand; a word that decodes to nothing gets no record.  So once the
-growth has run on a host to length l, each table up to l holds exactly the
-host's words of that length, and the sweep reads the word sets off the
-tables.  The growth also returns, per length and start vertex, the words of
-the walks with a b-letter and no a-letter, read off the same kinds: the
-B-side words that touch B, which the g maps and the counting lemmas
-take.  The memo lives exactly as long as its context (a sweep builds one
-context per tree and bare path and drops it after the last length), and it
-sits under the validations, never in place of them: f_map and h_map still
-check that their input decodes and that its type is in the domain before a
-memoized result is returned, and decode_word hands out a fresh list.
+first use, the g maps the walk they reflect (_walk_from), and the
+injection sweep's image test the walks and type of a T'-word.
+
+_grow_words, which word_sets and the sweep run, is the one growth: it
+grows the walks of both hosts one letter per level and inserts each word's
+record into its table once, the walks in start-vertex order and the type
+from the first and last non-c kinds each walk carries.  A walk with no
+b-letter steps only on a- and c-edges, which T and T' share, so it is the
+same walk in both hosts with the same word and type: those walks grow
+once, and each of their words gets one record that both hosts' tables
+hold.  Only the walks with a b-letter grow per host.  So a b-free word's
+T' record is its T record, and its image slot holds the f-image of the
+T-word; nothing reads the image slot of a T' record.  A word the growth has
+not seen is traced and classified on demand; a word that decodes to
+nothing gets no record.  Once the growth has run to length l, each table
+up to l holds exactly its host's words of that length, and the sweep
+reads the word sets off the tables.  The growth also returns, per host,
+length and start vertex, the words of the walks with a b-letter and no
+a-letter, read off the same kinds: the B-side words that touch B, which
+the g maps and the counting lemmas take.  The memo lives exactly as long
+as its context (a sweep builds one context per tree and bare path and
+drops it after the last length), and it sits under the validations, never
+in place of them: f_map and h_map still check that their input decodes
+and that its type is in the domain before a memoized result is returned,
+and decode_word hands out a fresh list.
 """
 
 from __future__ import annotations
@@ -305,9 +313,12 @@ def _is_closed(walks: tuple[Walk, ...]) -> bool:
     return first[0] == first[-1]
 
 
+_kind_of = itemgetter(0)  # a letter's kind
+
+
 def _has(word: Word, kind: str) -> bool:
     """Whether the word has a letter of the kind ('a', 'b' or 'c')."""
-    return kind in map(itemgetter(0), word)
+    return kind in map(_kind_of, word)
 
 
 def _runs(word: Word) -> list[tuple[str, int, int]]:
@@ -409,7 +420,7 @@ def words_of(
     One DFS per start over the host's adjacency, which skips the letters
     outside the part."""
     _require_host(host)
-    if part not in _PART_KINDS:
+    if part not in (None, "A", "B", "P"):  # a tuple, so an unhashable part is rejected too
         raise ValueError(f"part must be 'A', 'B', 'P' or None, got {part!r}")
     for v in (start, end):
         if v is not None:
@@ -439,7 +450,8 @@ def word_sets(
     _grow_words fills (see the module docstring)."""
     _require_host(host)
     sets = [({()}, {()})]
-    for table, _b_words in _grow_words(ctx, host, max_len)[1:]:
+    for level in _grow_words(ctx, host, max_len)[1:]:
+        table = level[0]
         closed = {word for word, record in table.items() if _is_closed(record[0])}
         sets.append((set(table), closed))
     return sets
@@ -447,37 +459,74 @@ def word_sets(
 
 def _grow_words(
     ctx: PathContext, host: str, max_len: int
-) -> list[tuple[dict[Word, list], dict[int, list[Word]]]]:
-    """One labeled walk enumeration out of every start vertex that grows all
-    walks by one letter per level.  Each nonempty word's record goes into
-    its (host, length) table once, with the word's walks and the type named
-    by the kinds each walk carries.  Returns, for every length 0..max_len,
-    that table and the words of the walks with state "bb" (a b-letter and
-    no a-letter) by start vertex, which are distinct, since from a fixed
-    start a word spells one walk."""
-    adj = ctx._adjacency[host]
+) -> list[tuple[dict[Word, list], dict[int, list[Word]], dict[Word, list], dict[int, list[Word]]]]:
+    """One labeled walk enumeration of both hosts out of every start vertex
+    that grows all walks by one letter per level, and puts each nonempty
+    word's record into its (host, length) table once, with the word's walks
+    and the type named by the kinds each walk carries.
+
+    A walk with no b-letter steps only on a- and c-edges, which T and T'
+    share, so it is the same walk in both hosts with the same word and
+    type: those walks grow once, into one record per word that both tables
+    take (dict.update).  Only the walks with a b-letter grow per host, from
+    a b-free walk by a b-letter or from a walk with one by any letter.
+
+    Returns, for every length 0..max_len, the table of ``host`` and the
+    words of its walks with state "bb" (a b-letter and no a-letter) by
+    start vertex, then the same two for the other host.  A start's words
+    are distinct, since from a fixed start a word spells one walk."""
+    hosts = (host, HOST_T2 if host == HOST_T else HOST_T)
     after, type_of = _KINDS_AFTER, _TYPE_OF_KINDS
-    tables = ctx._words[host]
-    walks = [((v,), (), "") for v in range(len(adj))]  # (positions, word, kinds)
-    levels = [({}, {})]
+    # the a- and c-letters out of each vertex, the same in both hosts, and
+    # each host's b-letters
+    free_adj = [[step for step in steps if step[1][0] != "b"] for steps in ctx._adjacency[HOST_T]]
+    b_adj = {
+        h: [[step for step in steps if step[1][0] == "b"] for steps in ctx._adjacency[h]]
+        for h in hosts
+    }
+    free = [((v,), (), "") for v in range(len(free_adj))]  # (positions, word, kinds)
+    b_walks = dict.fromkeys(hosts, [])
+    levels = [({}, {}, {}, {})]
     for length in range(1, max_len + 1):
-        walks = [
+        # every list stays sorted by start vertex within each word, the
+        # order decode_word uses
+        for h in hosts:
+            steps, adj = b_adj[h], ctx._adjacency[h]
+            b_walks[h] = [
+                (positions + (u,), word + (letter,), after[kinds]["b"])
+                for positions, word, kinds in free
+                for u, letter in steps[positions[-1]]
+            ] + [
+                (positions + (u,), word + (letter,), after[kinds][letter[0]])
+                for positions, word, kinds in b_walks[h]
+                for u, letter in adj[positions[-1]]
+            ]
+        free = [
             (positions + (u,), word + (letter,), after[kinds][letter[0]])
-            for positions, word, kinds in walks
-            for u, letter in adj[positions[-1]]
+            for positions, word, kinds in free
+            for u, letter in free_adj[positions[-1]]
         ]
-        # walks stay sorted by start vertex, the order decode_word uses
-        table = tables[length]
-        b_words: dict[int, list[Word]] = defaultdict(list)
-        for positions, word, kinds in walks:
+        shared: dict[Word, list] = {}
+        for positions, word, kinds in free:
             record = [(positions,), type_of[kinds], None]
-            found = table.setdefault(word, record)
-            if found is not record and positions not in found[0]:
+            found = shared.setdefault(word, record)
+            if found is not record:
                 # a repeated letter: its second walk, traced the other way
                 found[0] += (positions,)
-            if kinds == "bb":
-                b_words[positions[0]].append(word)
-        levels.append((table, b_words))
+        level = []
+        for h in hosts:
+            table = ctx._words[h][length]
+            table.update(shared)
+            b_words: dict[int, list[Word]] = defaultdict(list)
+            for positions, word, kinds in b_walks[h]:
+                record = [(positions,), type_of[kinds], None]
+                found = table.setdefault(word, record)
+                if found is not record and positions not in found[0]:
+                    found[0] += (positions,)
+                if kinds == "bb":
+                    b_words[positions[0]].append(word)
+            level += (table, b_words)
+        levels.append(tuple(level))
     return levels
 
 
@@ -492,57 +541,58 @@ def f_map(ctx: PathContext, word: Word, closed: bool = False) -> Word:
     words (pass closed=True); the closedness itself is the caller's claim
     and is not re-derived here.
     """
-    record = _t_record(ctx, word)
+    record = ctx._words[HOST_T][len(word)].get(word) or _t_record(ctx, word)
     wtype = record[1]
     if (wtype is _T21 or wtype is _T22) and not closed:
         raise ValueError(f"type {wtype.value} words are only mapped when closed")
-    return _f_image(ctx, word, record)
+    return record[2] or _f_image(ctx, word, record)
 
 
 def _t_record(ctx: PathContext, word: Word) -> list:
-    """The record of a word f_map or h_map takes: ValueError when the word
-    is empty or does not decode in T."""
+    """The record of a word f_map or h_map takes when it is not in the T
+    table yet: traced on demand; ValueError when the word is empty or does
+    not decode in T."""
     if not word:
         raise ValueError("cannot map an empty word")
-    record = ctx._words[HOST_T][len(word)].get(word) or _record(ctx, word, HOST_T)
+    record = _record(ctx, word, HOST_T)
     if record is None:
         raise ValueError("word is not valid in the original tree")
     return record
 
 
 def _f_image(ctx: PathContext, word: Word, record: list) -> Word:
-    """The f-image of a T-word whose record its caller has read and whose
-    type it has checked: the one stored in the record, or else computed and
-    stored there."""
-    image = record[2]
-    if image is None:
-        wtype = record[1]
-        if wtype is _T0:
-            image = word
-        else:
-            lead = "A" if wtype is _T11 or wtype is _T21 else "B"
-            image = _f_surgery(ctx, word, lead)
-        record[2] = image
+    """The f-image of a T-word whose record its caller has read, whose type
+    it has checked and whose image slot it found empty: computed and stored
+    there.  f_map and h_map hand out the stored image (a nonempty word)
+    after that.  A word with no letter of the side its type does not lead
+    with has no C-run to split: it is kept whole when A leads and
+    conjugated whole when B leads."""
+    wtype = record[1]
+    if wtype is _T0:
+        image = word
+    elif wtype is _T11 or wtype is _T21:
+        image = _f_surgery(ctx, word, "A") if _has(word, "b") else word
+    else:
+        image = _f_surgery(ctx, word, "B") if _has(word, "a") else conjugate(ctx, word)
+    record[2] = image
     return image
 
 
 def _f_surgery(ctx: PathContext, word: Word, lead: str) -> Word:
     """The block surgery of f_map on a word whose first non-C block has
-    kind `lead` ('A' or 'B').  Each C-run that leads from a lead-side block
-    to an other-side block is split at its walk's last visit to the lead
-    side's path end (p_0 for A, p_k for B); the head stays in place and the
-    reversed tail follows the other-side block.  When A leads, lead-side
-    blocks, plain C-runs and heads keep their letters while other-side
-    blocks and tails are conjugated; when B leads it is the other way
-    round.  The blocks are read as index ranges of the word."""
+    kind `lead` ('A' or 'B') and which has a block of the other side.  Each
+    C-run that leads from a lead-side block to an other-side block is split
+    at its walk's last visit to the lead side's path end (p_0 for A, p_k for
+    B); the head stays in place and the reversed tail follows the
+    other-side block.  When A leads, lead-side blocks, plain C-runs and
+    heads keep their letters while other-side blocks and tails are
+    conjugated; when B leads it is the other way round.  The blocks are
+    read as index ranges of the word."""
     get = ctx._conjugation.get
     if lead == "A":
-        other, other_letter, end, conjugate_kept = "B", "b", 0, False
+        other, end, conjugate_kept = "B", 0, False
     else:
-        other, other_letter, end, conjugate_kept = "A", "a", ctx.k, True
-    if not _has(word, other_letter):
-        # no other-side block: nothing is split, every letter is kept
-        return tuple(map(get, word, word)) if conjugate_kept else word
+        other, end, conjugate_kept = "A", ctx.k, True
     runs = _runs(word)
     last = len(runs) - 1
     out: list[Letter] = []
@@ -691,10 +741,10 @@ def h_map(ctx: PathContext, word: Word) -> Word:
     separating C-run into a T11 prefix (mapped by f) and a p_0-rooted
     B-side suffix (mapped by g_total); T22 is the mirror with the A-side.
     """
-    record = _t_record(ctx, word)
+    record = ctx._words[HOST_T][len(word)].get(word) or _t_record(ctx, word)
     wtype = record[1]
     if wtype is not _T21 and wtype is not _T22:
-        return _f_image(ctx, word, record)
+        return record[2] or _f_image(ctx, word, record)
     # the start of the last proper C-run
     cut = max(lo for kind, lo, _hi in _runs(word)[1:-1] if kind == "C")
     prefix, suffix = word[:cut], word[cut:]

@@ -283,6 +283,17 @@ def test_kc_rejects_missing_or_non_bare_pair(extra, message, fixed_tree, capsys)
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("x,y", [("9", "9"), ("0", "9")])
+def test_kc_reports_an_end_out_of_range_before_a_repeated_end(x, y, tmp_path, capsys):
+    # the range is checked first, so (9, 9) on a 5-vertex path names vertex
+    # 9 as (0, 9) does, not the pair as one that spans no bare path
+    path = tmp_path / "p5.tree"
+    path.write_text("5\n0 1\n1 2\n2 3\n3 4\n")
+    code, out, err = run(["kc", "--tree", str(path), "--x", x, "--y", y], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: vertex 9 out of range for n=5\n"
+
+
 def test_count_rejects_repeated_edge(tmp_path, capsys):
     path = tmp_path / "repeated.tree"
     path.write_text("3\n0 1\n1 0\n1 2\n")

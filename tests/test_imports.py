@@ -58,6 +58,28 @@ def _loaded_by(argv):
     return set(result["before"]), set(result["after"]), result["code"]
 
 
+# Runs main(argv) with stdout captured and prints which of the standard
+# library modules given after it are loaded by then.
+STDLIB_CHILD = """
+import contextlib, io, json, sys
+import treewalks.cli
+
+argv, names = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = treewalks.cli.main(argv)
+print(json.dumps({"loaded": [m for m in names if m in sys.modules], "code": code}))
+"""
+
+
+def _stdlib_loaded_by(argv, names):
+    proc = subprocess.run(
+        [sys.executable, "-c", STDLIB_CHILD, json.dumps(argv), json.dumps(names)],
+        capture_output=True, text=True, env=_env(), check=True,
+    )
+    result = json.loads(proc.stdout)
+    return set(result["loaded"]), result["code"]
+
+
 @pytest.fixture
 def tree_file(tmp_path):
     path = tmp_path / "fixed.tree"
@@ -117,6 +139,34 @@ class TestImportFootprint:
         assert code == 0
         assert {"treewalks.words", "treewalks.injections"} <= after
         assert "treewalks.walks" not in after  # words needs only the Walk alias
+
+
+class TestStandardLibraryFootprint:
+    # every command the benchmark runs, at small scopes: none loads
+    # dataclasses, or inspect, which dataclasses imports
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--kind", "closed", "--len", "4", "TREE"],
+            ["count", "--kind", "all", "--len", "4", "TREE"],
+            ["count", "--kind", "paths", "--len", "4", "TREE"],
+            ["count", "--kind", "wiener", "TREE"],
+            ["counterexample", "--c", "3/5", "--k", "20", "--len", "10"],
+            ["dc-reduce", "--len", "4", "--tree", "TREE"],
+            ["dc-reduce", "--len", "5", "--tree", "TREE"],
+            ["verify", "closed-extremal", "--max-n", "6", "--max-len", "4"],
+            ["verify", "kc-monotone", "--max-n", "6", "--max-len", "4", "--kind", "both"],
+            ["verify", "path-extremal", "--max-n", "6", "--len", "5"],
+            ["verify", "path-extremal", "--max-n", "6", "--len", "6"],
+            ["verify", "injections", "--max-n", "5", "--max-len", "3"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv if not a.startswith("-") and a not in ("TREE", "verify")),
+    )
+    def test_benchmarked_commands_load_no_dataclasses(self, argv, tree_file):
+        argv = [tree_file if a == "TREE" else a for a in argv]
+        loaded, code = _stdlib_loaded_by(argv, ["dataclasses", "inspect"])
+        assert code == 0
+        assert loaded == set()
 
 
 # Every name treewalks/__init__.py exported when it imported all of its

@@ -98,16 +98,14 @@ class TestKcTransform:
     @staticmethod
     def bare_path_oracle(t, x, y):
         """("path", vertices) when x and y span a bare path, otherwise
-        ("error", message): x == y is rejected before tree_path checks the
-        range, and a path with an interior vertex of degree other than two
-        is not bare."""
-        if x == y:
-            return "error", f"({x}, {y}) does not span a bare path"
+        ("error", message): tree_path checks the range first, then x == y
+        is rejected, and a path with an interior vertex of degree other
+        than two is not bare."""
         try:
             path = tree_path(t, x, y)
         except ValueError as exc:
             return "error", str(exc)
-        if any(t.degree(v) != 2 for v in path[1:-1]):
+        if x == y or any(t.degree(v) != 2 for v in path[1:-1]):
             return "error", f"({x}, {y}) does not span a bare path"
         return "path", path
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from decimal import Decimal, localcontext
@@ -621,6 +622,46 @@ def test_broken_map_fails_its_own_check(patch, name, monkeypatch):
     report = verify_injections(5, 3)
     assert not report.ok
     assert {c.name for c in report.checks if not c.passed} == {name}
+
+
+class TestCollectorPause:
+    """The injection sweep pauses the cyclic garbage collector while a tree's
+    word tables live, and leaves it as the caller had it."""
+
+    @pytest.fixture
+    def collector(self):
+        was = gc.isenabled()
+        yield
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_sweep_leaves_the_collector_as_it_found_it(self, enabled, collector):
+        (gc.enable if enabled else gc.disable)()
+        verify_injections(6, 4)
+        assert gc.isenabled() is enabled
+
+    def test_failing_sweep_restores_the_collector(self, collector, monkeypatch):
+        from treewalks import injections
+
+        def broken(ctx, word, closed=False):
+            raise RuntimeError("broken f")
+
+        monkeypatch.setattr(injections, "f_map", broken)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="broken f"):
+            verify_injections(4, 2)
+        assert gc.isenabled()
+
+    def test_paused_sweep_leaves_no_cyclic_garbage(self, collector):
+        # the word tables hold no reference cycles, so reference counting
+        # frees them and the pause costs no memory
+        gc.collect()
+        gc.disable()
+        verify_injections(6, 4)
+        assert gc.collect() == 0
 
 
 class TestWorkerPool:

@@ -1,4 +1,5 @@
 import hashlib
+from collections import defaultdict
 from functools import partial
 from itertools import product
 
@@ -347,6 +348,80 @@ class TestPerHostMemo:
                         assert set(found) == side - path
 
 
+def per_host_growth(ctx, host, max_len):
+    """The oracle of the one growth: every walk of one host grown by one
+    letter per level, each word's record inserted into that host's table
+    with its walks in start-vertex order, and the words of the walks with
+    a b-letter and no a-letter listed by start vertex, for every length
+    0..max_len."""
+    adj = ctx._adjacency[host]
+    after, type_of = words._KINDS_AFTER, words._TYPE_OF_KINDS
+    tables = ctx._words[host]
+    walks = [((v,), (), "") for v in range(len(adj))]  # (positions, word, kinds)
+    levels = [({}, {})]
+    for length in range(1, max_len + 1):
+        walks = [
+            (positions + (u,), word + (letter,), after[kinds][letter[0]])
+            for positions, word, kinds in walks
+            for u, letter in adj[positions[-1]]
+        ]
+        table = tables[length]
+        b_words = defaultdict(list)
+        for positions, word, kinds in walks:
+            record = [(positions,), type_of[kinds], None]
+            found = table.setdefault(word, record)
+            if found is not record and positions not in found[0]:
+                found[0] += (positions,)
+            if kinds == "bb":
+                b_words[positions[0]].append(word)
+        levels.append((table, b_words))
+    return levels
+
+
+class TestOneGrowth:
+    HOSTS = (HOST_T, HOST_T2)
+
+    def test_matches_the_per_host_growth(self):
+        # both hosts' tables hold the oracle's words with the same walks, in
+        # the same order, and type; the B-side word lists of each start hold
+        # the same words, in any order
+        for ctx in all_contexts(8):
+            oracle = build_context(ctx.tree, ctx.p0, ctx.pk)
+            for host in self.HOSTS:
+                expected = per_host_growth(oracle, host, 6)
+                levels = words._grow_words(ctx, host, 6)
+                assert len(levels) == 7
+                for ell in range(7):
+                    table, b_words = levels[ell][:2]
+                    want_table, want_b_words = expected[ell]
+                    assert {w: r[:2] for w, r in table.items()} == {
+                        w: r[:2] for w, r in want_table.items()
+                    }
+                    assert {s: sorted(found) for s, found in b_words.items()} == {
+                        s: sorted(found) for s, found in want_b_words.items()
+                    }
+                    if ell:
+                        assert table is ctx._words[host][ell]
+            for host in self.HOSTS:
+                assert ctx._words[host].keys() == oracle._words[host].keys()
+
+    def test_b_free_records_are_shared(self):
+        # a word with no b-letter spells the same walks in T and T', so
+        # both tables hold one record for it
+        for ctx in all_contexts(8):
+            words._grow_words(ctx, HOST_T, 6)
+            for ell in range(1, 7):
+                t_table, t2_table = ctx._words[HOST_T][ell], ctx._words[HOST_T2][ell]
+                shared = 0
+                for word, record in t2_table.items():
+                    if not any(kind == "b" for kind, _ in word):
+                        assert record is t_table[word]
+                        shared += 1
+                assert shared == sum(
+                    1 for word in t_table if not any(kind == "b" for kind, _ in word)
+                )
+
+
 class TestTypeTable:
     def test_entries_match_classify(self):
         # oracle: the pure classify; the tables of a host hold every
@@ -680,6 +755,7 @@ BAD_WORDS = [
     ("words_of end past n", "k1", lambda ctx: words_of(ctx, HOST_T, 0, end=99), r"^vertex 99 out of range for n=4$"),
     ("words_of unknown part", "k1", lambda ctx: words_of(ctx, HOST_T, 2, part="X"), r"^part must be 'A', 'B', 'P' or None, got 'X'$"),
     ("words_of lowercase part", "k1", lambda ctx: words_of(ctx, HOST_T, 2, part="a"), r"^part must be 'A', 'B', 'P' or None, got 'a'$"),
+    ("words_of unhashable part", "k1", lambda ctx: words_of(ctx, HOST_T, 2, part=["A"]), r"^part must be 'A', 'B', 'P' or None, got \['A'\]$"),
 ]
 
 
