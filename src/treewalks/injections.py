@@ -22,8 +22,11 @@ reads the image's walks and type from the table of its host and length,
 with no trace.  Each word of the two f domains (the closed words, and the
 T0/T11/T12 words) is mapped and its image tested once: a closed T0/T11/T12
 word is in both, and its closed test is its general test plus the
-closedness of its image's T' walks.  The h check takes the f verdict for
-an h-image that is the tested f-image itself and tests any other.
+closedness of its image's T' walks.  f_map reads a word's closedness from
+its record; the sweep reads it too, to put the word in its f checks.  The
+h check takes the f verdict for an h-image that is the tested f-image
+itself and tests any other.  Every row is a ``Check`` given the lead of
+its instance, rendered once per path and length.
 
 ``injection_rows`` pauses the cyclic garbage collector while a tree's
 contexts live and restores the caller's setting when it returns or
@@ -87,7 +90,7 @@ def _path_rows(t, index, bp, max_len):
     rows = []
     for ell in range(1, max_len + 1):
         # check(name, lhs, rhs, relation, passed) at this path and length
-        check = partial(_check, t.n, ell, index, bp.vertices, f"{prefix}{ell:02d} ")
+        check = partial(Check, t.n, ell, tree=index, path=bp.vertices, lead=f"{prefix}{ell:02d} ")
         table, b_words, t2_table, t2_b_words = levels[ell]
         # the B-side T-words from p0 that touch B, shared by the g maps and
         # the lemmas
@@ -96,14 +99,6 @@ def _path_rows(t, index, bp, max_len):
         rows.extend(_check_g(ctx, check, ell, b_p0, levels, t2_table))
         rows.extend(_check_lemmas(ctx, check, ell, b_p0, levels, t2_b_words))
     return rows
-
-
-def _check(n, ell, index, path, lead, name, lhs, rhs, relation, passed):
-    """A check of one tree, path and length, its instance set from the lead
-    that ``_path_rows`` renders once per path and length."""
-    row = Check(n, ell, name, lhs, rhs, relation, passed, index, path)
-    row._instance = lead + name
-    return row
 
 
 def _injective(check, name, images, all_pass):
@@ -144,7 +139,7 @@ def _check_f_h(ctx, check, table, t2_table):
         closed = first[0] == first[-1]  # see words._is_closed
         is_open = wtype is not _T21 and wtype is not _T22
         if is_open or closed:
-            f_image = f_map(ctx, word, closed)
+            f_image = f_map(ctx, word)
             f_ok, f_ok_closed = _image_ok(t2_table, wtype, f_image)
             if is_open:
                 open_images.append(f_image)
@@ -171,11 +166,12 @@ def _check_f_h(ctx, check, table, t2_table):
     return rows
 
 
-def _lands(table, image, length, start):
-    """Whether a g-image has the length, a b-letter, and a walk from start
-    in the host whose word table of that length is given.  A word has at
-    most two walks, its first and its last."""
-    if len(image) != length or not _has(image, "b"):
+def _lands(table, image, start):
+    """Whether a g-image has a b-letter and a walk from start in the host
+    whose word table is given.  The table holds the host's words of one
+    length and no other word, so finding the image there also tests its
+    length.  A word has at most two walks, its first and its last."""
+    if not _has(image, "b"):
         return False
     record = table.get(image)
     return record is not None and (record[0][0][0] == start or record[0][-1][0] == start)
@@ -188,7 +184,7 @@ def _check_g(ctx, check, ell, b_p0, t_levels, t2_table):
         table = t_levels[ell][0]
         images = [g_even(ctx, w) for w in b_p0]
         tests = [
-            _lands(table, i, ell, pk) and g_even(ctx, i) == w
+            _lands(table, i, pk) and g_even(ctx, i) == w
             for w, i in zip(b_p0, images)
         ]
         rows.append(_injective(check, "g-even-involution", images, all(tests)))
@@ -198,12 +194,12 @@ def _check_g(ctx, check, ell, b_p0, t_levels, t2_table):
         odd = shorter_b_words.get(ctx.path[1], [])
         images = [g_odd(ctx, w, u) for w in odd]
         tests = [
-            _lands(shorter, i, ell - 1, pk) and g_odd(ctx, i, u) == w
+            _lands(shorter, i, pk) and g_odd(ctx, i, u) == w
             for w, i in zip(odd, images)
         ]
         rows.append(_injective(check, "g-odd-involution", images, all(tests)))
     images = [g_total(ctx, w) for w in b_p0]
-    tests = [_lands(t2_table, i, ell, p0) for i in images]
+    tests = [_lands(t2_table, i, p0) for i in images]
     rows.append(_injective(check, "g-total-inject", images, all(tests)))
     return rows
 

@@ -71,14 +71,16 @@ class Check:
         n=NN t=TTT path=v0-v1-...-vk len=LL name  (per-tree checks)
 
     with zero-padded n, t and ell; reports sort and print by that string,
-    which each record renders once (the per-tree sweeps set it as they
-    build the row, from ``_path_prefix`` rendered once per path).  ``t``
-    has 3 digits up to n = 12 and past it as many as the largest index of
-    its order needs (``_INDEX_DIGITS``), so one order's strings sort in
-    index order.  Checks compare by every field but the rendered string.
+    which each record renders once, in ``__init__``.  ``lead`` is the text
+    before the name: the per-tree sweeps render it once per path and length
+    (from ``_path_prefix``) and pass it in, and a record given none renders
+    its own.  ``t`` has 3 digits up to n = 12 and past it as many as the
+    largest index of its order needs (``_INDEX_DIGITS``), so one order's
+    strings sort in index order.  Checks compare by every field but the
+    rendered string.
     """
 
-    __slots__ = ("n", "ell", "name", "lhs", "rhs", "relation", "passed", "tree", "path", "_instance")
+    __slots__ = ("n", "ell", "name", "lhs", "rhs", "relation", "passed", "tree", "path", "instance")
 
     def __init__(
         self,
@@ -91,11 +93,17 @@ class Check:
         passed: bool,
         tree: int | None = None,
         path: tuple[int, ...] | None = None,
+        lead: str | None = None,
     ) -> None:
         self.n, self.ell, self.name = n, ell, name
         self.lhs, self.rhs, self.relation, self.passed = lhs, rhs, relation, passed
         self.tree, self.path = tree, path
-        self._instance = None
+        if lead is None:
+            if tree is None:
+                lead = f"n={n:02d} len={ell:02d} "
+            else:
+                lead = f"{_path_prefix(n, tree, path)}{ell:02d} "
+        self.instance = lead + name
 
     def _fields(self) -> tuple:
         return (self.n, self.ell, self.name, self.lhs, self.rhs, self.relation, self.passed, self.tree, self.path)
@@ -106,17 +114,6 @@ class Check:
         return self._fields() == other._fields()
 
     __hash__ = None
-
-    @property
-    def instance(self) -> str:
-        text = self._instance
-        if text is None:
-            if self.tree is None:
-                text = f"n={self.n:02d} len={self.ell:02d} {self.name}"
-            else:
-                text = f"{_path_prefix(self.n, self.tree, self.path)}{self.ell:02d} {self.name}"
-            self._instance = text
-        return text
 
 
 # Digits of the tree index ``t`` for the orders whose largest index needs
@@ -380,8 +377,8 @@ def _kc_monotone_rows(t: Tree, index: int, base: dict, table: dict, max_len: int
 
     Rows are built in report order, so the sweep's sort finds them sorted:
     paths by their ``-``-joined string (``1-10`` before ``1-2``), then ell,
-    then kind by name.  Each row's instance is set from a prefix built once
-    per path."""
+    then kind by name.  Each row's instance is built from a prefix rendered
+    once per path."""
     n, adj = t.n, t.adjacency
     kinds = sorted(kinds)
     moves = []
@@ -399,9 +396,7 @@ def _kc_monotone_rows(t: Tree, index: int, base: dict, table: dict, max_len: int
             lead = f"{prefix}{ell:02d} "
             for kind in kinds:
                 lhs, rhs = base[kind][ell], moved[kind][ell]
-                check = Check(n, ell, kind, lhs, rhs, "<=", lhs <= rhs, index, path)
-                check._instance = lead + kind
-                rows.append(check)
+                rows.append(Check(n, ell, kind, lhs, rhs, "<=", lhs <= rhs, index, path, lead))
     return rows
 
 

@@ -8,7 +8,7 @@ into the component A of p_0, the component B of p_k, and bare interior
 vertices; A is p_0's side of the edge p_0p_1 and B is p_k's side of
 p_kp_(k-1), both from ``trees._branch``.  Each edge gets a label: c_1..c_k
 along the path, a_i in A, b_i in B; T' keeps every label (the moved B-edges
-keep theirs).  A walk is encoded by its sequence of traversed edge labels
+keep theirs), and the constructor builds T' from that inherited labeling.  A walk is encoded by its sequence of traversed edge labels
 with directions dropped.  Words with at least two distinct letters decode
 to a unique walk; a word that repeats a single letter decodes to two (one
 per direction).
@@ -26,7 +26,8 @@ The maps:
 
 * f_map rewrites a T-word into a T'-word of the same length and type.  It
   is total on T0/T11/T12 and on closed words of types T21/T22, injective on
-  each type, and maps closed words to closed words.
+  each type, and maps closed words to closed words.  It reads whether a
+  T21/T22 word is closed from the word's record and refuses an open one.
 * g_even / g_odd are self-inverse swaps between walk words rooted at the
   two path endpoints inside the B-side subgraph.  Both take one reflection
   step: cut the walk at its first visit to the midpoint of a path of even
@@ -61,9 +62,10 @@ skips the letters outside its side subgraph.
 The one table that grows after construction is the word memo: each word
 that decodes in a host gets one record, [walks, type, f-image], in
 ctx._words[host][len(word)].  Every lookup reads that one table:
-decode_word the walks, f_map and h_map the walks (that the word decodes),
-the type and the f-image, which they store in the record's last slot on
-first use, the g maps the walk they reflect (_walk_from), and the
+decode_word the walks, f_map and h_map the walks (that the word decodes,
+and for f whether a T21/T22 word is closed, so in its domain), the type
+and the f-image, which they store in the record's last slot on first
+use, the g maps the walk they reflect (_walk_from), and the
 injection sweep's image test the walks and type of a T'-word.
 
 _grow_words, which word_sets and the sweep run, is the one growth: it
@@ -86,8 +88,9 @@ the g maps and the counting lemmas take.  The memo lives exactly as long
 as its context (a sweep builds one context per tree and bare path and
 drops it after the last length), and it sits under the validations, never
 in place of them: f_map and h_map still check that their input decodes
-and that its type is in the domain before a memoized result is returned,
-and decode_word hands out a fresh list.
+and that it is in the domain (its type, and for f a T21/T22 word's
+closedness) before a memoized result is returned, and decode_word hands
+out a fresh list.
 """
 
 from __future__ import annotations
@@ -97,8 +100,8 @@ from enum import Enum
 from itertools import groupby
 from operator import itemgetter
 
-from .transforms import _bare_path, _kc_along
-from .trees import Tree, _branch
+from .transforms import _bare_path
+from .trees import Tree, _branch, tree
 
 __all__ = [
     "HOST_T",
@@ -182,7 +185,7 @@ class PathContext:
         if len(edge_label) != t.n - 1:
             raise RuntimeError(f"{len(edge_label)} labels for {t.n - 1} edges")
 
-        self.transformed_tree = t2 = _kc_along(t, path)
+        # T' moves p_k's b-edges to p_0, each keeping its letter
         edge_label_t2: dict[tuple[int, int], Letter] = {}
         for (u, v), letter in edge_label.items():
             if letter[0] == "b" and pk in (u, v):
@@ -190,8 +193,7 @@ class PathContext:
                 edge_label_t2[(min(p0, w), max(p0, w))] = letter
             else:
                 edge_label_t2[(u, v)] = letter
-        if set(edge_label_t2) != set(t2.edges):
-            raise RuntimeError("the inherited labeling does not cover the transform's edges")
+        self.transformed_tree = tree(t.n, edge_label_t2)
 
         self._labels = {HOST_T: edge_label, HOST_T2: edge_label_t2}  # host -> edge -> letter
         self._edges = {}  # host -> letter -> edge
@@ -420,6 +422,8 @@ def words_of(
     One DFS per start over the host's adjacency, which skips the letters
     outside the part."""
     _require_host(host)
+    if length < 0:
+        raise ValueError(f"word length must be >= 0, got {length}")
     if part not in (None, "A", "B", "P"):  # a tuple, so an unhashable part is rejected too
         raise ValueError(f"part must be 'A', 'B', 'P' or None, got {part!r}")
     for v in (start, end):
@@ -449,6 +453,8 @@ def word_sets(
     among them that encode a closed walk, read from the word tables that
     _grow_words fills (see the module docstring)."""
     _require_host(host)
+    if max_len < 0:
+        raise ValueError(f"word length must be >= 0, got {max_len}")
     sets = [({()}, {()})]
     for level in _grow_words(ctx, host, max_len)[1:]:
         table = level[0]
@@ -534,16 +540,15 @@ def _grow_words(
 # construction.
 
 
-def f_map(ctx: PathContext, word: Word, closed: bool = False) -> Word:
+def f_map(ctx: PathContext, word: Word) -> Word:
     """Rewrite a T-word as a T'-word of the same length and type.
 
-    Total on types T0/T11/T12.  Types T21/T22 are only defined for closed
-    words (pass closed=True); the closedness itself is the caller's claim
-    and is not re-derived here.
+    Total on types T0/T11/T12; on types T21/T22 it takes the closed words
+    only, read from the word's record, and raises ValueError on an open one.
     """
     record = ctx._words[HOST_T][len(word)].get(word) or _t_record(ctx, word)
     wtype = record[1]
-    if (wtype is _T21 or wtype is _T22) and not closed:
+    if (wtype is _T21 or wtype is _T22) and not _is_closed(record[0]):
         raise ValueError(f"type {wtype.value} words are only mapped when closed")
     return record[2] or _f_image(ctx, word, record)
 
@@ -748,7 +753,7 @@ def h_map(ctx: PathContext, word: Word) -> Word:
     # the start of the last proper C-run
     cut = max(lo for kind, lo, _hi in _runs(word)[1:-1] if kind == "C")
     prefix, suffix = word[:cut], word[cut:]
-    mapped_prefix = f_map(ctx, prefix, closed=False)
+    mapped_prefix = f_map(ctx, prefix)
     if wtype is _T21:
         return mapped_prefix + g_total(ctx, suffix)
     return mapped_prefix + g_total_aside(ctx, suffix)

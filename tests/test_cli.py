@@ -139,6 +139,12 @@ GOLDEN_INJECTIONS = [
         ["verify", "injections", "--max-n", "7", "--max-len", "5"],
         "4905e238be3587f6fc204c32fbda5c63f4d5526cbaf2060607648e19057e7300",
     ),
+    # the wider reference scope (19,242 checks), recorded before f read
+    # closedness from its word and Check rendered its own instance
+    (
+        ["verify", "injections", "--max-n", "8", "--max-len", "6"],
+        "15c769b6bcc059cdf638ab9a4416a3e971c5d1c3283250df02559e3e66aad0ab",
+    ),
 ]
 
 # (length, format, stdout digest) of `dc-reduce` on FIXED_TREE, recorded

@@ -515,8 +515,8 @@ class TestInjectionSuites:
         real = injections.f_map
         bounce, bent = (("c", 1), ("c", 1)), (("c", 1), ("c", 2))
 
-        def f_map(ctx, word, closed=False):
-            return bent if word == bounce and ctx.k >= 2 else real(ctx, word, closed)
+        def f_map(ctx, word):
+            return bent if word == bounce and ctx.k >= 2 else real(ctx, word)
 
         monkeypatch.setattr(injections, "f_map", f_map)
         report = verify_injections(5, 2)
@@ -588,10 +588,11 @@ def _f_map_undecodable(monkeypatch):
 
     real = injections.f_map
 
-    def f_map(ctx, word, closed=False):
-        if not closed and words.classify(word) is words.WordType.T11:
+    def f_map(ctx, word):
+        walk = words.decode_word(ctx, word, words.HOST_T)[0]
+        if walk[0] != walk[-1] and words.classify(word) is words.WordType.T11:
             return (("a", 0),) * len(word)
-        return real(ctx, word, closed)
+        return real(ctx, word)
 
     monkeypatch.setattr(injections, "f_map", f_map)
 
@@ -646,7 +647,7 @@ class TestCollectorPause:
     def test_failing_sweep_restores_the_collector(self, collector, monkeypatch):
         from treewalks import injections
 
-        def broken(ctx, word, closed=False):
+        def broken(ctx, word):
             raise RuntimeError("broken f")
 
         monkeypatch.setattr(injections, "f_map", broken)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from treewalks import words
 from treewalks.generate import enumerate_free_trees, leaf_rooted, path_tree
-from treewalks.transforms import bare_paths
+from treewalks.transforms import bare_paths, kc_transform
 from treewalks.trees import tree
 from treewalks.walks import count_closed_walks, count_walks, enumerate_walks
 from treewalks.words import (
@@ -107,6 +107,16 @@ class TestContext:
             assert set(ctx.labeling_transformed) == set(ctx.transformed_tree.edges)
             assert not (ctx.a_component & ctx.b_component)
 
+    def test_transform_matches_kc_transform(self):
+        # T' is built from the inherited labeling; kc_transform moves the
+        # edges itself, in both orientations of every bare path
+        for n in range(2, 9):
+            for t in enumerate_free_trees(n):
+                for bp in bare_paths(t):
+                    for x, y in (bp.endpoints, bp.endpoints[::-1]):
+                        ctx = build_context(t, x, y)
+                        assert ctx.transformed_tree == kc_transform(t, x, y)
+
     def test_end_components_match_networkx(self):
         # A and B are p_0's and p_k's components of T less the path edges
         for ctx in all_contexts(8):
@@ -141,14 +151,6 @@ class TestContext:
         branch = words._branch
         monkeypatch.setattr(words, "_branch", lambda t, v, away_from: branch(t, v, away_from) - {v})
         with pytest.raises(RuntimeError, match=r"^1 labels for 3 edges$"):
-            build_context(tree(4, [(0, 1), (1, 2), (2, 3)]), 1, 2)
-
-    def test_transform_without_the_moved_edges_rejected(self, monkeypatch):
-        # b1 = 2-3 moves to 1-3 in the labeling, but the transform kept 2-3
-        monkeypatch.setattr(words, "_kc_along", lambda t, path: t)
-        with pytest.raises(
-            RuntimeError, match=r"^the inherited labeling does not cover the transform's edges$"
-        ):
             build_context(tree(4, [(0, 1), (1, 2), (2, 3)]), 1, 2)
 
 
@@ -444,7 +446,7 @@ class TestMemosUnderValidation:
         word_sets(k1, HOST_T, 3)
         assert k1._words[HOST_T][3][word][1] is WordType.T21
         with pytest.raises(ValueError, match="only mapped when closed"):
-            f_map(k1, word, closed=False)
+            f_map(k1, word)
 
     @pytest.mark.parametrize("text", ["a1 c1 a1", "b1 a1 a1 b1"])
     def test_words_that_do_not_decode_in_t_are_rejected(self, k1, text):
@@ -472,7 +474,7 @@ class TestMemosUnderValidation:
                         assert record[2] is image
                         assert h_map(ctx, word) is image
                     elif word in closed:
-                        assert f_map(ctx, word, closed=True) is record[2]
+                        assert f_map(ctx, word) is record[2]
 
     def test_h_map_on_typed_words_matches_fresh_f_map(self):
         # h takes its f-images from the memoized surgery; a fresh context
@@ -482,7 +484,7 @@ class TestMemosUnderValidation:
             for words, _closed in word_sets(ctx, HOST_T, 4)[1:]:
                 for word in words:
                     if classify(word) in (WordType.T0, WordType.T11, WordType.T12):
-                        assert h_map(ctx, word) == f_map(fresh, word, closed=False)
+                        assert h_map(ctx, word) == f_map(fresh, word)
 
 
 def blocks_of(word):
@@ -633,16 +635,16 @@ class TestSplitCBlock:
 class TestFMap:
     def test_case_0_identity(self, k1):
         word = parse_word("c1 c1")
-        assert f_map(k1, word, closed=True) == word
+        assert f_map(k1, word) == word
 
     def test_b_only_word_is_letterwise_fixed_at_k1(self, k1):
         word = parse_word("c1 b1 b1 c1")
-        image = f_map(k1, word, closed=True)
+        image = f_map(k1, word)
         assert image == word  # conjugation is the identity for k = 1
         assert is_closed(k1, image, HOST_T2)
 
     def test_spec_worked_instance(self, k1):
-        image = f_map(k1, parse_word("a1 c1 b1 b1 c1 a1"), closed=True)
+        image = f_map(k1, parse_word("a1 c1 b1 b1 c1 a1"))
         assert word_to_str(image) == "a1 b1 b1 c1 c1 a1"
         assert is_closed(k1, image, HOST_T2)
 
@@ -650,35 +652,35 @@ class TestFMap:
         # the C-run before the A-block leaves p_2, comes back once, and then
         # walks to p_0, so it is cut after that return; with k >= 2 such a
         # run needs a word of length >= 7, past the reference layer's words
-        image = f_map(k2, parse_word("b1 c2 c2 c2 c1 a1 a1 c1 c2 b1"), closed=True)
+        image = f_map(k2, parse_word("b1 c2 c2 c2 c1 a1 a1 c1 c2 b1"))
         assert word_to_str(image) == "b1 c1 c1 a1 a1 c1 c2 c2 c1 b1"
         assert is_closed(k2, image, HOST_T2)
 
     def test_single_letters_fixed(self):
         for ctx in all_contexts(5):
             for word in t_words(ctx, 1):
-                assert f_map(ctx, word, closed=False) == word
+                assert f_map(ctx, word) == word
 
-    def test_closed_call_does_not_admit_open_call(self):
-        # a closed T21 word mapped with closed=True must still be refused
-        # with closed=False on the same context
-        word = parse_word("a1 a1 c1 b1 b1 c1")
-        found = 0
-        for t in enumerate_free_trees(5):
-            for bp in bare_paths(t):
-                ctx = build_context(t, *bp.endpoints)
-                if not is_closed(ctx, word, HOST_T):
-                    continue
-                found += 1
-                image = f_map(ctx, word, closed=True)
-                with pytest.raises(ValueError):
-                    f_map(ctx, word, closed=False)
-                assert f_map(ctx, word, closed=True) == image
-        assert found
+    def test_domain_is_read_from_the_word(self):
+        # f reads its domain from the word: it maps every closed word, of
+        # every type, to a closed T'-word of its length and type, and it
+        # refuses every open T21/T22 word (a closed one has 6 letters or more)
+        mixed = (WordType.T21, WordType.T22)
+        for ctx in all_contexts(7):
+            for domain, closed in word_sets(ctx, HOST_T, 6)[1:]:
+                for word in closed:
+                    image = f_map(ctx, word)
+                    assert len(image) == len(word)
+                    assert classify(image) is classify(word)
+                    assert is_closed(ctx, image, HOST_T2)
+                for word in domain - closed:
+                    if classify(word) in mixed:
+                        with pytest.raises(ValueError, match="only mapped when closed"):
+                            f_map(ctx, word)
 
     def test_open_type2_rejected(self, k1):
         with pytest.raises(ValueError):
-            f_map(k1, parse_word("a1 c1 b1"), closed=False)
+            f_map(k1, parse_word("a1 c1 b1"))
 
     def test_surgery_rejects_the_wrong_lead(self, k1):
         # a B-led word has no C-run in front of its first block
@@ -689,13 +691,13 @@ class TestFMap:
 
     def test_invalid_word_rejected(self, k1):
         with pytest.raises(ValueError):
-            f_map(k1, parse_word("a1 b1"), closed=False)
+            f_map(k1, parse_word("a1 b1"))
 
     def test_closed_words_all_types(self):
         for ctx in all_contexts(6):
             for ell in range(2, 7, 2):
                 domain = sorted(word_sets(ctx, HOST_T, ell)[ell][1])
-                images = [f_map(ctx, w, closed=True) for w in domain]
+                images = [f_map(ctx, w) for w in domain]
                 for word, image in zip(domain, images):
                     assert len(image) == len(word)
                     assert classify(image) is classify(word)
@@ -710,7 +712,7 @@ class TestFMap:
                     for w in t_words(ctx, ell)
                     if classify(w) in (WordType.T0, WordType.T11, WordType.T12)
                 )
-                images = [f_map(ctx, w, closed=False) for w in domain]
+                images = [f_map(ctx, w) for w in domain]
                 for word, image in zip(domain, images):
                     assert len(image) == len(word)
                     assert classify(image) is classify(word)
@@ -755,6 +757,8 @@ BAD_WORDS = [
     ("words_of end past n", "k1", lambda ctx: words_of(ctx, HOST_T, 0, end=99), r"^vertex 99 out of range for n=4$"),
     ("words_of unknown part", "k1", lambda ctx: words_of(ctx, HOST_T, 2, part="X"), r"^part must be 'A', 'B', 'P' or None, got 'X'$"),
     ("words_of lowercase part", "k1", lambda ctx: words_of(ctx, HOST_T, 2, part="a"), r"^part must be 'A', 'B', 'P' or None, got 'a'$"),
+    ("words_of negative length", "k1", lambda ctx: words_of(ctx, HOST_T, -1), r"^word length must be >= 0, got -1$"),
+    ("word_sets negative length", "k1", lambda ctx: word_sets(ctx, HOST_T2, -1), r"^word length must be >= 0, got -1$"),
     ("words_of unhashable part", "k1", lambda ctx: words_of(ctx, HOST_T, 2, part=["A"]), r"^part must be 'A', 'B', 'P' or None, got \['A'\]$"),
 ]
 
@@ -860,7 +864,7 @@ class TestHMap:
             for ell in range(1, 5):
                 for word in t_words(ctx, ell):
                     if classify(word) in (WordType.T0, WordType.T11, WordType.T12):
-                        assert h_map(ctx, word) == f_map(ctx, word, closed=False)
+                        assert h_map(ctx, word) == f_map(ctx, word)
 
     def test_spec_worked_instance(self, k1):
         assert word_to_str(h_map(k1, parse_word("a1 c1 b1"))) == "a1 b1 b1"
@@ -1051,7 +1055,7 @@ class TestReferenceLayer:
                         assert f_map(ctx, word) == expected
                 for word in closed:
                     if classify(word) not in f_open:
-                        assert f_map(ctx, word, closed=True) == ref_f(ctx, word)
+                        assert f_map(ctx, word) == ref_f(ctx, word)
 
     @given(trees(min_n=2, max_n=14))
     @settings(deadline=None, max_examples=25)
@@ -1086,9 +1090,9 @@ IMAGE_DIGEST = "4bf97bf8a1dc0c55159fba094ca1c2938dce68437893167d94764fbc5376e0a6
 def _map_images(ctx, ell, t_words, t_closed):
     """(map name, (word, image) pairs) of every word map at ell."""
     f_open = (WordType.T0, WordType.T11, WordType.T12)
-    yield "f-closed", [(w, f_map(ctx, w, closed=True)) for w in t_closed]
+    yield "f-closed", [(w, f_map(ctx, w)) for w in t_closed]
     opens = [w for w in t_words if classify(w) in f_open]
-    yield "f-open", [(w, f_map(ctx, w, closed=False)) for w in opens]
+    yield "f-open", [(w, f_map(ctx, w)) for w in opens]
     yield "h", [(w, h_map(ctx, w)) for w in t_words]
     if ctx.k % 2 == 0:
         yield "g-even", [(w, g_even(ctx, w)) for w in b_side_from(ctx, ell, ctx.p0)]
